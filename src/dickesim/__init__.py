@@ -6,7 +6,6 @@ from .errors import (
     CapacityError,
     DegenerateKernelError,
     DickeSimError,
-    IntegrationFailureError,
     NotPositiveSemidefiniteError,
     NumericRangeError,
     SingularMatrixError,
@@ -63,7 +62,6 @@ __all__ = [
     "NotPositiveSemidefiniteError",
     "DegenerateKernelError",
     "CapacityError",
-    "IntegrationFailureError",
     "NumericRangeError",
     "BifurcationNotFoundError",
     "hermitian_eig",

@@ -466,8 +466,8 @@ def _cmd_semiclassical(options):
         raise UsageError("semiclassical omega_r grid must be >= 0")
     tasks = [(float(w),) for w in omega_rs]
     rows = _map_rows(_semiclassical_row, tasks, options["jobs"])
-    _write_rows(options, "semiclassical", rows)
     critical = bifurcation_scan(omega_rs, settings)  # raises if grid misses it
+    _write_rows(options, "semiclassical", rows)
     sys.stdout.write(f"critical omega_r = {critical:.6f}\n")
     return 0
 
@@ -527,3 +527,7 @@ def main(argv=None) -> int:
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

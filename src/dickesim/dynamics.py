@@ -16,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import CapacityError, IntegrationFailureError, ValidationError
+from .errors import CapacityError, ValidationError
 from .linalg import as_complex_matrix, hermiticity_defect, null_vector, require_hermitian
 from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, build_jminus, build_jz
 
-# dense Liouvillians get expensive as d^4; beyond this, use the analytic route
+# dense Liouvillians (steady state and evolve) get expensive as d^4;
+# beyond this only the zero-temperature analytic route remains
 DENSE_DIM_LIMIT = 33
 
 
@@ -144,57 +146,28 @@ def build_liouvillian(params: ModelParams) -> np.ndarray:
     return L
 
 
-def _rhs(rho, p, ops):
-    """Generator applied to a state in matrix form (no kron blowup)."""
-    Jm, Jp, H, JmJp, JpJm = ops
-    out = -1j * (H @ rho - rho @ H)
-    if p.nbar > 0:
-        out += p.gamma_a * p.nbar / 2.0 * (
-            2.0 * Jp @ rho @ Jm - JmJp @ rho - rho @ JmJp
+def _require_dense(params: ModelParams):
+    """Both dense-generator routes stop at the same size."""
+    d = params.j.dim
+    if d > DENSE_DIM_LIMIT:
+        raise CapacityError(
+            f"dimension {d} exceeds dense limit {DENSE_DIM_LIMIT} (j <= 16); "
+            "zero-temperature steady states beyond it: analytic.steady_state_analytic"
         )
-    out += p.gamma_a * (p.nbar + 1.0) / 2.0 * (
-        2.0 * Jm @ rho @ Jp - JpJm @ rho - rho @ JpJm
-    )
-    return out
 
 
-def _rk4_between(rho, t0, t1, n_steps, p, ops):
-    """Classical RK4 with n_steps fixed steps, re-hermitizing each step."""
-    h = (t1 - t0) / n_steps
-    for _ in range(n_steps):
-        k1 = _rhs(rho, p, ops)
-        k2 = _rhs(rho + 0.5 * h * k1, p, ops)
-        k3 = _rhs(rho + 0.5 * h * k2, p, ops)
-        k4 = _rhs(rho + h * k3, p, ops)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-    return rho
+def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAULT) -> Trajectory:
+    """Propagate the master equation exactly over t_grid.
 
+    The generator L is built once and each state follows from the
+    previous one as vec(rho) <- expm(L * dt) vec(rho) (scaling and
+    squaring, Al-Mohy & Higham 2009).  Steps that differ only by the
+    rounding of np.linspace share one propagator, so a uniform grid
+    costs one matrix exponential.  Each state is re-hermitized and
+    checked against the density-matrix invariants.
 
-def _grid_sweep(rho0, t_grid, n_sub, p, ops):
-    states = [rho0.copy()]
-    rho = rho0
-    for k in range(len(t_grid) - 1):
-        rho = _rk4_between(rho, t_grid[k], t_grid[k + 1], n_sub[k], p, ops)
-        states.append(rho.copy())
-    return states
-
-
-def evolve(
-    rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAULT, max_halvings=22
-) -> Trajectory:
-    """Integrate the master equation over t_grid.
-
-    Fixed-step RK4 with step halving: the whole grid is swept, the step
-    count is doubled, and the sweep repeats until consecutive
-    trajectories agree within ``settings.integrator_tol`` in Frobenius
-    norm at every grid point.  RK4 preserves the trace identically
-    (the generator is traceless-preserving and linear), and each step is
-    re-hermitized, so the returned states satisfy the density-matrix
-    invariants up to integration error.
-
-    Raises IntegrationFailureError (with .time_reached) when the halving
-    budget runs out before consecutive sweeps agree.
+    Shares the domain of steady_state_numeric: raises CapacityError for
+    dimensions above DENSE_DIM_LIMIT.
     """
     p = params
     t_grid = np.asarray(t_grid, dtype=float)
@@ -204,42 +177,28 @@ def evolve(
         raise ValidationError(f"t_grid must start at 0, got {t_grid[0]!r}")
     if len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0):
         raise ValidationError("t_grid must be strictly ascending")
+    _require_dense(p)
     rho0 = validate_density_matrix(rho0, settings, "rho0")
-    if rho0.shape[0] != p.j.dim:
+    d = p.j.dim
+    if rho0.shape[0] != d:
         raise ValidationError(
-            f"rho0 dimension {rho0.shape[0]} does not match j = {p.j.j} (dim {p.j.dim})"
-        )
-    if len(t_grid) == 1:
-        return Trajectory(times=t_grid, states=(rho0.copy(),))
-
-    Jm, Jp, _ = collective_ops(p.j)
-    H = 0.5 * p.omega * (Jp + Jm)
-    ops = (Jm, Jp, H, Jm @ Jp, Jp @ Jm)
-
-    # stiffness scale: Hamiltonian spread ~ 2 j omega, dissipative rates ~ 2 j^2 gamma_a
-    jj = p.j.j
-    rate = 2.0 * jj * p.omega + 2.0 * max(jj * jj, 0.5) * p.gamma_a * (2.0 * p.nbar + 1.0)
-    spans = np.diff(t_grid)
-    # keep h * rate < 2 so the first sweep is already inside the RK4 stability region
-    n_sub = np.maximum(1, np.ceil(spans * rate * 0.5).astype(int))
-
-    states = _grid_sweep(rho0, t_grid, n_sub, p, ops)
-    for _ in range(int(max_halvings)):
-        n_sub = n_sub * 2
-        finer = _grid_sweep(rho0, t_grid, n_sub, p, ops)
-        err = max(
-            float(np.linalg.norm(a - b)) for a, b in zip(states, finer)
-        )
-        states = finer
-        if err <= settings.integrator_tol:
-            break
-    else:
-        raise IntegrationFailureError(
-            f"step halving stalled at error {err:.3e} > {settings.integrator_tol:.1e}",
-            time_reached=float(t_grid[-1]),
+            f"rho0 dimension {rho0.shape[0]} does not match j = {p.j.j} (dim {d})"
         )
 
-    for k, rho in enumerate(states):
+    L = build_liouvillian(p)
+    # np.linspace steps differ from each other by about one ulp of the end time
+    slack = 4.0 * np.spacing(t_grid[-1])
+    step = propagator = None
+    rho = rho0.copy()
+    states = [rho]
+    for dt in np.diff(t_grid):
+        if propagator is None or abs(dt - step) > slack:
+            step, propagator = dt, scipy.linalg.expm(L * dt)
+        rho = unvec(propagator @ vec(rho), d)
+        rho = 0.5 * (rho + rho.conj().T)
+        states.append(rho)
+
+    for k, rho in enumerate(states[1:], start=1):
         validate_density_matrix(rho, settings, name=f"state at t={t_grid[k]:g}")
     return Trajectory(times=t_grid, states=tuple(states))
 
@@ -259,12 +218,8 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
         )
     if p.gamma_a == 0.0:
         raise ValidationError("no dissipation (gamma_a = 0): no relaxation to a steady state")
+    _require_dense(p)
     d = p.j.dim
-    if d > DENSE_DIM_LIMIT:
-        raise CapacityError(
-            f"dimension {d} exceeds dense limit {DENSE_DIM_LIMIT}; "
-            "use analytic.steady_state_analytic (zero-temperature route)"
-        )
     L = build_liouvillian(p)
     x = null_vector(L, settings)
     rho = unvec(x, d)

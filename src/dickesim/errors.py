@@ -30,14 +30,6 @@ class CapacityError(DickeSimError):
     """Problem size exceeds a documented dense-path limit."""
 
 
-class IntegrationFailureError(DickeSimError):
-    """Time integration could not reach the requested accuracy."""
-
-    def __init__(self, message, time_reached=None):
-        super().__init__(message)
-        self.time_reached = time_reached
-
-
 class NumericRangeError(DickeSimError):
     """Requested quantity overflows double precision even after rescaling."""
 

@@ -36,6 +36,8 @@ _ZERO_MODE_TOL = 1e-9
 # attraction must beat this margin to count as stable (guards roundoff
 # on the pure-rotation branch where real parts are 0 up to noise)
 _STABILITY_MARGIN = 1e-12
+# integrate_meanfield's largest RK4 step in scaled time
+_MAX_STEP = 1.0 / 1024.0
 
 
 @dataclass(frozen=True)
@@ -68,16 +70,19 @@ def _check_omega_r(omega_r):
     return omega_r
 
 
-def meanfield_rhs(s, omega_r) -> np.ndarray:
-    """Time derivative of the Bloch vector in scaled time."""
-    s = _as_bloch(s)
-    omega_r = _check_omega_r(omega_r)
+def _rhs_kernel(s, omega_r) -> np.ndarray:
+    """meanfield_rhs without input checks, for callers that validated already."""
     sx, sy, sz = s
     return np.array([
         sz * sx,
         sz * sy - omega_r * sz,
         omega_r * sy - sx * sx - sy * sy,
     ])
+
+
+def meanfield_rhs(s, omega_r) -> np.ndarray:
+    """Time derivative of the Bloch vector in scaled time."""
+    return _rhs_kernel(_as_bloch(s), _check_omega_r(omega_r))
 
 
 def meanfield_jacobian(s, omega_r) -> np.ndarray:
@@ -172,38 +177,21 @@ def find_fixed_points(omega_r, settings: NumericSettings = DEFAULT):
     return reports
 
 
-def _leading_rate(omega_r) -> float:
-    """Real part of the least-damped transverse mode of the best equilibrium.
-
-    Negative while an attracting equilibrium exists; 0 once only
-    rotation centers remain.  This is the quantity whose sign change the
-    bifurcation scan brackets.
-    """
-    best = None
-    for report in find_fixed_points(omega_r):
-        trans = _transverse(report.jacobian_eigenvalues)
-        rate = float(trans.real.max()) if len(trans) else 0.0
-        if best is None or rate < best:
-            best = rate
-    return best
-
-
 def stable_branch_summary(omega_r):
     """(sz of the attracting branch, its leading transverse rate).
 
-    Above the bifurcation there is no attracting branch; the reported
-    point is the neutrally stable center and the rate is ~0.
+    The rate is the real part of the least-damped transverse mode of the
+    best equilibrium: negative while an attracting equilibrium exists,
+    ~0 once only the neutrally stable centers above the bifurcation
+    remain.  Its sign change is what bifurcation_scan brackets.
     """
-    reports = find_fixed_points(omega_r)
-    best = min(
-        reports,
-        key=lambda r: max(
-            (t.real for t in _transverse(r.jacobian_eigenvalues)), default=0.0
-        ),
-    )
-    trans = _transverse(best.jacobian_eigenvalues)
-    rate = float(trans.real.max()) if len(trans) else 0.0
-    return float(best.point[2]), rate
+
+    def leading_rate(report):
+        trans = _transverse(report.jacobian_eigenvalues)
+        return float(trans.real.max()) if len(trans) else 0.0
+
+    best = min(find_fixed_points(omega_r), key=leading_rate)
+    return float(best.point[2]), leading_rate(best)
 
 
 def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float:
@@ -222,14 +210,17 @@ def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("omega_r grid must be strictly ascending")
 
-    attracting = [_leading_rate(w) < -_STABILITY_MARGIN for w in grid]
+    def attracting(omega_r):
+        return stable_branch_summary(omega_r)[1] < -_STABILITY_MARGIN
+
+    sides = [attracting(w) for w in grid]
     bracket = None
     for k in range(len(grid) - 1):
-        if attracting[k] and not attracting[k + 1]:
+        if sides[k] and not sides[k + 1]:
             bracket = (grid[k], grid[k + 1])
             break
     if bracket is None:
-        side = "below" if attracting[0] else "above"
+        side = "below" if sides[0] else "above"
         raise BifurcationNotFoundError(
             f"no loss of attraction inside grid [{grid[0]:g}, {grid[-1]:g}] "
             f"(entire grid {side} the transition)"
@@ -237,18 +228,18 @@ def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float
     lo, hi = bracket
     while hi - lo > settings.bifurcation_tol:
         mid = 0.5 * (lo + hi)
-        if _leading_rate(mid) < -_STABILITY_MARGIN:
+        if attracting(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def integrate_meanfield(s0, omega_r, tau_grid, max_step=1.0 / 1024.0) -> np.ndarray:
+def integrate_meanfield(s0, omega_r, tau_grid) -> np.ndarray:
     """Fixed-step RK4 trajectory of the Bloch vector; rows match tau_grid.
 
-    The step is small enough that the conserved spin length drifts by
-    less than ~1e-9 over tau spans of order 100.
+    Steps are at most _MAX_STEP, small enough that the conserved spin
+    length drifts by less than ~1e-9 over tau spans of order 100.
     """
     s = _as_bloch(s0)
     omega_r = _check_omega_r(omega_r)
@@ -257,20 +248,18 @@ def integrate_meanfield(s0, omega_r, tau_grid, max_step=1.0 / 1024.0) -> np.ndar
         raise ValidationError("tau_grid must be a 1-D array of at least one time")
     if len(grid) > 1 and not np.all(np.diff(grid) > 0):
         raise ValidationError("tau_grid must be strictly ascending")
-    if not max_step > 0:
-        raise ValidationError("max_step must be positive")
 
     out = np.empty((len(grid), 3))
     out[0] = s
     for k in range(len(grid) - 1):
         span = grid[k + 1] - grid[k]
-        steps = max(1, int(np.ceil(span / max_step)))
+        steps = max(1, int(np.ceil(span / _MAX_STEP)))
         h = span / steps
         for _ in range(steps):
-            k1 = meanfield_rhs(s, omega_r)
-            k2 = meanfield_rhs(s + 0.5 * h * k1, omega_r)
-            k3 = meanfield_rhs(s + 0.5 * h * k2, omega_r)
-            k4 = meanfield_rhs(s + h * k3, omega_r)
+            k1 = _rhs_kernel(s, omega_r)
+            k2 = _rhs_kernel(s + 0.5 * h * k1, omega_r)
+            k3 = _rhs_kernel(s + 0.5 * h * k2, omega_r)
+            k4 = _rhs_kernel(s + h * k3, omega_r)
             s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = s
     return out

@@ -20,7 +20,6 @@ class NumericSettings:
     solve_rtol: float = 1e-9          # relative residual bound for linear solves
     null_rtol: float = 1e-9           # ||A x|| <= null_rtol * ||A||_F for null vectors
     null_gap_rtol: float = 1e-8       # second singular value below this * ||A||_F means degenerate
-    integrator_tol: float = 1e-10     # step-halving agreement target for evolve
     fixed_point_resid: float = 1e-8   # residual accepted when classifying equilibria
     bifurcation_tol: float = 1e-6     # bisection bracket width for the critical drive
 
@@ -28,13 +27,14 @@ class NumericSettings:
         """Settings with the solver accuracy targets replaced by ``tol``.
 
         Touches only the knobs a caller would mean by "work to this
-        accuracy": linear-solve and null-space residuals plus the
-        integrator target.  Validation thresholds stay put.
+        accuracy": the linear-solve and null-space residuals.  Time
+        evolution is exact propagation and has no accuracy knob.
+        Validation thresholds stay put.
         """
         tol = float(tol)
         if not tol > 0:
             raise ValueError("tolerance must be positive")
-        return replace(self, solve_rtol=tol, null_rtol=tol, integrator_tol=tol)
+        return replace(self, solve_rtol=tol, null_rtol=tol)
 
 
 DEFAULT = NumericSettings()

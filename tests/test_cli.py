@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dickesim
 from dickesim import closed_form_j1, steady_state_analytic
 from dickesim.cli import UsageError, main, parse_grid
 
@@ -347,6 +352,7 @@ def test_semiclassical_grid_missing_transition(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- config files
@@ -396,3 +402,21 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     )
     assert rc == 1
     assert "I/O error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- module entry points
+
+@pytest.mark.parametrize("module", ["dickesim", "dickesim.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    out = tmp_path / "fig2.csv"
+    env = dict(os.environ)
+    src = str(Path(dickesim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "fig2", "--gamma-grid", "log:0.5:2:3", "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    header, rows = read_csv(out)
+    assert header == ["gamma", "abs_g", "concurrence"]
+    assert len(rows) == 3

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+import scipy.linalg
+from hypothesis import example, given, settings as hsettings, strategies as st
 
 from dickesim import (
     CapacityError,
-    IntegrationFailureError,
     ModelParams,
     SpinQuantum,
     ValidationError,
@@ -21,7 +21,7 @@ from dickesim import (
     vec,
 )
 from dickesim.settings import DEFAULT
-from util import random_density, trace_distance
+from util import master_equation_rhs, random_density, trace_distance
 
 
 # ---------------------------------------------------------------- ModelParams
@@ -97,6 +97,18 @@ def test_liouvillian_preserves_hermiticity(p, seed):
     h = h + h.conj().T
     out = unvec(build_liouvillian(p) @ vec(h), d)
     assert np.abs(out - out.conj().T).max() < 1e-10
+
+
+@given(params_strategy(), st.integers(0, 2 ** 31 - 1))
+@example(ModelParams(j=1.5, omega=0.9, gamma_a=0.6, nbar=1.7), 11)
+@hsettings(max_examples=40, deadline=None)
+def test_liouvillian_matches_matrix_form(p, seed):
+    rng = np.random.default_rng(seed)
+    d = p.j.dim
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    out = unvec(build_liouvillian(p) @ vec(rho), d)
+    expected = master_equation_rhs(rho, p)
+    assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 def test_liouvillian_two_level_decay():
@@ -211,12 +223,58 @@ def test_evolve_single_point_grid():
     assert len(traj.states) == 1
 
 
-def test_evolve_halving_budget_exhausted():
-    p = ModelParams(j=0.5, omega=1.0, gamma_a=0.2)
-    impossible = DEFAULT.with_working_tolerance(1e-30)
-    with pytest.raises(IntegrationFailureError) as err:
-        evolve(dicke_projector(0.5, 0.5), p, [0.0, 0.5], impossible, max_halvings=3)
-    assert err.value.time_reached == pytest.approx(0.5)
+def _propagator_states(rho0, p, times):
+    lio = build_liouvillian(p)
+    d = p.j.dim
+    return [unvec(scipy.linalg.expm(lio * t) @ vec(rho0), d) for t in times]
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 5.0, 41),
+    np.concatenate([[0.0], np.logspace(-3.0, 1.0, 20)]),
+])
+def test_evolve_matches_propagator_from_zero(times):
+    p = ModelParams(j=2, omega=1.0, gamma_a=0.7, nbar=0.4)
+    rho0 = dicke_projector(2, 1)
+    traj = evolve(rho0, p, times)
+    for state, exact in zip(traj.states, _propagator_states(rho0, p, times)):
+        assert np.abs(state - exact).max() < 1e-12
+
+
+def test_evolve_uniform_grid_builds_one_propagator(monkeypatch):
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return real_expm(a)
+
+    real_expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    p = ModelParams(j=1, omega=1.0, gamma_a=1.0, nbar=0.5)
+    rho0 = dicke_projector(1, 1)
+    for t_max in (0.05, 2.0 * np.pi / 1.3, 10.0, 1234.5):
+        for n in (2, 7, 101, 1001):
+            calls.clear()
+            evolve(rho0, p, np.linspace(0.0, t_max, n))
+            assert len(calls) == 1, (t_max, n)
+    calls.clear()
+    evolve(rho0, p, np.concatenate([[0.0], np.logspace(-2.0, 1.0, 6)]))
+    assert len(calls) == 6
+
+
+def test_evolve_tight_working_tolerance_returns():
+    # a tolerance below double-precision reach must not stall evolution
+    p = ModelParams(j=1, omega=1.0, gamma_a=1.0, nbar=0.5)
+    times = np.linspace(0.0, 10.0, 101)
+    traj = evolve(dicke_projector(1, 1), p, times, DEFAULT.with_working_tolerance(1e-14))
+    assert len(traj.states) == 101
+    exact = _propagator_states(dicke_projector(1, 1), p, times[-1:])[0]
+    assert np.abs(traj.states[-1] - exact).max() < 1e-12
+
+
+def test_evolve_capacity_limit():
+    with pytest.raises(CapacityError):
+        evolve(dicke_projector(16.5, 16.5), ModelParams(j=16.5, omega=1.0, gamma_a=1.0), [0.0, 0.1])
 
 
 # ---------------------------------------------------------------- steady_state_numeric

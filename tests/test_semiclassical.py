@@ -193,5 +193,3 @@ def test_trajectory_grid_handling():
     assert single.shape == (1, 3)
     with pytest.raises(ValidationError):
         integrate_meanfield(s0, 0.5, [0.0, 2.0, 1.0])
-    with pytest.raises(ValidationError):
-        integrate_meanfield(s0, 0.5, [0.0, 1.0], max_step=0.0)
