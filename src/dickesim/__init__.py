@@ -6,12 +6,10 @@ from .errors import (
     CapacityError,
     DegenerateKernelError,
     DickeSimError,
-    NotPositiveSemidefiniteError,
     NumericRangeError,
-    SingularMatrixError,
     ValidationError,
 )
-from .linalg import hermitian_eig, matrix_sqrt_psd, null_vector, solve_linear
+from .linalg import null_vector
 from .spin_ops import (
     SpinQuantum,
     build_jminus,
@@ -34,7 +32,6 @@ from .dynamics import (
 from .analytic import closed_form_j1, normalization_D, steady_state_analytic
 from .entanglement import (
     concurrence,
-    pair_reduced_brute_force,
     pair_reduced_state,
     triplet_to_two_qubit,
     validate_two_qubit_state,
@@ -43,7 +40,6 @@ from .semiclassical import (
     FixedPointReport,
     bifurcation_scan,
     find_fixed_points,
-    finite_difference_jacobian,
     integrate_meanfield,
     jacobian_eigenvalues,
     meanfield_jacobian,
@@ -58,15 +54,10 @@ __all__ = [
     "NumericSettings",
     "DickeSimError",
     "ValidationError",
-    "SingularMatrixError",
-    "NotPositiveSemidefiniteError",
     "DegenerateKernelError",
     "CapacityError",
     "NumericRangeError",
     "BifurcationNotFoundError",
-    "hermitian_eig",
-    "solve_linear",
-    "matrix_sqrt_psd",
     "null_vector",
     "SpinQuantum",
     "m_values",
@@ -89,12 +80,10 @@ __all__ = [
     "concurrence",
     "triplet_to_two_qubit",
     "pair_reduced_state",
-    "pair_reduced_brute_force",
     "validate_two_qubit_state",
     "FixedPointReport",
     "meanfield_rhs",
     "meanfield_jacobian",
-    "finite_difference_jacobian",
     "jacobian_eigenvalues",
     "find_fixed_points",
     "bifurcation_scan",

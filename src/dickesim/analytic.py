@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericRangeError, ValidationError
-from .settings import DEFAULT, NumericSettings
-from .spin_ops import SpinQuantum, build_jminus
+from .spin_ops import SpinQuantum, ladder_coefficients
 
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 
@@ -42,7 +41,7 @@ def _scaled_sum(s: SpinQuantum, gamma: float):
     S = exp(log_scale) * Shat exactly up to rounding.
     """
     d = s.dim
-    coeffs = np.diag(build_jminus(s), -1).real
+    coeffs = ladder_coefficients(s)
     prefix = np.concatenate(([0.0], np.cumsum(np.log(coeffs))))
     a = np.arange(d)[:, None]
     b = np.arange(d)[None, :]
@@ -54,7 +53,7 @@ def _scaled_sum(s: SpinQuantum, gamma: float):
     return Shat, log_scale
 
 
-def steady_state_analytic(spin, gamma, settings: NumericSettings = DEFAULT) -> np.ndarray:
+def steady_state_analytic(spin, gamma) -> np.ndarray:
     """Stationary density matrix of the driven, collectively damped spin.
 
     gamma is the damping-to-drive ratio gamma_a / omega.  gamma = 0 is
@@ -77,7 +76,7 @@ def steady_state_analytic(spin, gamma, settings: NumericSettings = DEFAULT) -> n
     return rho
 
 
-def normalization_D(spin, gamma, settings: NumericSettings = DEFAULT) -> float:
+def normalization_D(spin, gamma) -> float:
     """Trace of the unnormalized stationary sum, tr(S S^dag).
 
     For j = 1 this is the quartic 3 + 4 gamma^2 + 4 gamma^4.  Computed
@@ -98,7 +97,7 @@ def normalization_D(spin, gamma, settings: NumericSettings = DEFAULT) -> float:
     return float(np.exp(log_d))
 
 
-def closed_form_j1(gamma, settings: NumericSettings = DEFAULT) -> np.ndarray:
+def closed_form_j1(gamma) -> np.ndarray:
     """The explicit 3x3 stationary matrix of the spin-1 (two-ion) case.
 
     Hand-expanded form of steady_state_analytic at j = 1, kept as an

@@ -294,7 +294,7 @@ def _fig1_row(task):
 
 def _fig2_row(task):
     gamma, settings = task
-    rho = closed_form_j1(gamma, settings)
+    rho = closed_form_j1(gamma)
     value = concurrence(triplet_to_two_qubit(rho, settings), settings)
     return (gamma, 1.0 / gamma, value)
 
@@ -303,7 +303,7 @@ def _fig3_row(task):
     two_j, omega_r, settings = task
     spin = SpinQuantum(two_j)
     gamma = 1.0 / (spin.j * omega_r)
-    rho = steady_state_analytic(spin, gamma, settings)
+    rho = steady_state_analytic(spin, gamma)
     value = concurrence(pair_reduced_state(rho, spin, settings), settings)
     return (spin.j, omega_r, value)
 
@@ -337,7 +337,7 @@ def _cmd_steady(options):
             raise UsageError("analytic method requires nbar = 0")
         if omega <= 0:
             raise UsageError("analytic method needs omega > 0 to form gamma_a/omega")
-        rho = steady_state_analytic(spin, gamma_a / omega, settings)
+        rho = steady_state_analytic(spin, gamma_a / omega)
     else:
         params = ModelParams(j=spin, omega=omega, gamma_a=gamma_a, nbar=options["nbar"])
         rho = steady_state_numeric(params, settings)

@@ -4,9 +4,10 @@ Three pieces: the Wootters concurrence of an arbitrary two-qubit state,
 the isometric embedding of a spin-1 state into the two-qubit triplet
 sector, and the reduction of a permutation-symmetric N-qubit state
 (stored as a (2j+1)-dimensional collective state, N = 2j) to any pair of
-its constituents.  The reduction works from collective expectation
-values only, so it costs d x d algebra even at j = 64; a brute-force
-2^N embedding (N <= 8) serves as its oracle.
+its constituents.  The reduction needs six collective moments, which
+it reads from the main diagonal and the first two subdiagonals of the
+state, so it costs O(d) beyond validating its input.  Its independent
+oracle, the brute-force 2^N embedding (N <= 8), lives in the tests.
 
 Two-qubit basis order is (|ee>, |eg>, |ge>, |gg>) with |e> first in each
 factor.
@@ -14,19 +15,15 @@ factor.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import CapacityError, DickeSimError, ValidationError
+from .errors import ValidationError
 from .dynamics import validate_density_matrix
 from .linalg import as_complex_matrix
 from .settings import DEFAULT, NumericSettings
-from .spin_ops import SpinQuantum, build_jminus, build_jz, expectation
+from .spin_ops import SpinQuantum, ladder_coefficients, m_values
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _YY = np.kron(_SY, _SY)
 
 
@@ -40,25 +37,17 @@ def validate_two_qubit_state(rho, settings: NumericSettings = DEFAULT, name="rho
 def concurrence(rho, settings: NumericSettings = DEFAULT) -> float:
     """Wootters concurrence C(rho) of a two-qubit state.
 
-    C = max(0, l1 - l2 - l3 - l4) where l_i are the descending square
-    roots of the eigenvalues of rho @ rho_tilde and
-    rho_tilde = (sy kron sy) rho* (sy kron sy).
+    C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots
+    of the eigenvalues of rho @ rho_tilde, rho_tilde = (sy kron sy)
+    rho* (sy kron sy).  For any factor rho = X X^dag those l_i are the
+    singular values of X^T (sy kron sy) X, which stays accurate to
+    rounding when rho is rank-deficient, where the eigenvalues of the
+    non-Hermitian product lose half the digits.
     """
     rho = validate_two_qubit_state(rho, settings)
-    product = rho @ (_YY @ rho.conj() @ _YY)
-    evals = np.linalg.eigvals(product)
-    # the product is similar to a PSD matrix, so the spectrum is real
-    if np.abs(evals.imag).max() > 1e-8:
-        raise DickeSimError(
-            f"spectrum of rho * rho_tilde not real: max imag {np.abs(evals.imag).max():.3e}"
-        )
-    real = evals.real
-    if real.min() < -1e-12:
-        raise DickeSimError(
-            f"spectrum of rho * rho_tilde not positive: min {real.min():.3e}"
-        )
-    lam = np.sqrt(np.clip(real, 0.0, None))
-    lam[::-1].sort()
+    w, v = np.linalg.eigh(rho)
+    x = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -82,13 +71,15 @@ def triplet_to_two_qubit(rho3, settings: NumericSettings = DEFAULT) -> np.ndarra
 def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.ndarray:
     """Two-qubit reduced state of a symmetric N-qubit state, N = 2j.
 
-    Works entirely from collective moments.  Single-site moments come
-    from <Jz>/N and <J+>/N; two-site moments come from <Jz^2>, <J+^2>,
-    <J+J->, <J+Jz> after removing same-site contributions
-    (sum_i s+_i s-_i = N/2 + Jz and s+ sz = -s+ on one site) and
-    dividing by the N(N-1) ordered pairs.  The state is then assembled
-    from the Pauli expansion rho2 = (1/4) sum <sa x sb> sa x sb, which
-    is exchange-symmetric by construction.
+    Works entirely from collective moments (Wang and Molmer, Eur. Phys.
+    J. D 18, 385 (2002)).  With p_k = rho[k, k], c_k = J-[k+1, k] and
+    m_k = j - k, the moments <Jz>, <Jz^2>, <J+J->, <J+>, <J+^2> and
+    <J+Jz> are sums over the main diagonal and the first two
+    subdiagonals.  Single-site moments follow from <Jz>/N and <J+>/N;
+    two-site moments from the rest after removing same-site
+    contributions (sum_i s+_i s-_i = N/2 + Jz and s+ sz = -s+ on one
+    site) and dividing by the N(N-1) ordered pairs.  The exchange-
+    symmetric 4x4 is filled from those numbers directly.
     """
     s = SpinQuantum.from_j(spin)
     if s.two_j < 2:
@@ -99,16 +90,18 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
     validate_density_matrix(rho, settings, "rho")
 
     n = float(s.two_j)
-    jm = build_jminus(s)
-    jp = jm.conj().T
-    jz = build_jz(s)
+    c = ladder_coefficients(s)
+    m = m_values(s)
+    p = np.diagonal(rho).real
+    sub1 = np.diagonal(rho, -1)             # rho[k+1, k]
+    sub2 = np.diagonal(rho, -2)             # rho[k+2, k]
 
-    mz = expectation(rho, jz).real
-    mp = expectation(rho, jp)
-    mzz = expectation(rho, jz @ jz).real
-    mpp = expectation(rho, jp @ jp)
-    mpm = expectation(rho, jp @ jm).real
-    mpz = expectation(rho, jp @ jz)
+    mz = p @ m
+    mzz = p @ (m * m)
+    mpm = p[:-1] @ (c * c)
+    mp = c @ sub1
+    mpp = (c[:-1] * c[1:]) @ sub2
+    mpz = (c * m[1:]) @ sub1
 
     pairs = n * (n - 1.0)
     one_z = 2.0 * mz / n                      # <sz> on one site
@@ -118,61 +111,13 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
     zz = (4.0 * mzz - n) / pairs              # <sz sz> across sites
     pz = (2.0 * mpz + mp) / pairs             # <s+ sz> across sites
 
-    xx = 2.0 * pp.real + 2.0 * pm.real
-    yy = -2.0 * pp.real + 2.0 * pm.real
-    xy = 2.0 * pp.imag
-    xz = 2.0 * pz.real
-    yz = 2.0 * pz.imag
-    x1 = 2.0 * one_p.real
-    y1 = 2.0 * one_p.imag
-
-    eye = np.eye(2, dtype=complex)
-    terms = [
-        (1.0, eye, eye),
-        (x1, _SX, eye), (x1, eye, _SX),
-        (y1, _SY, eye), (y1, eye, _SY),
-        (one_z, _SZ, eye), (one_z, eye, _SZ),
-        (xx, _SX, _SX), (yy, _SY, _SY), (zz.real, _SZ, _SZ),
-        (xy, _SX, _SY), (xy, _SY, _SX),
-        (xz, _SX, _SZ), (xz, _SZ, _SX),
-        (yz, _SY, _SZ), (yz, _SZ, _SY),
-    ]
-    out = np.zeros((4, 4), dtype=complex)
-    for coeff, a, b in terms:
-        out += coeff * np.kron(a, b)
-    out *= 0.25
-    out = 0.5 * (out + out.conj().T)
+    a = np.conj(one_p + pz) / 2.0
+    b = np.conj(one_p - pz) / 2.0
+    mid = (1.0 - zz) / 4.0
+    out = np.array([
+        [(1.0 + 2.0 * one_z + zz) / 4.0, a, a, np.conj(pp)],
+        [np.conj(a), mid, pm, b],
+        [np.conj(a), pm, mid, b],
+        [pp, np.conj(b), np.conj(b), (1.0 - 2.0 * one_z + zz) / 4.0],
+    ], dtype=complex)
     return validate_two_qubit_state(out, settings, "pair-reduced state")
-
-
-def pair_reduced_brute_force(rho, spin, settings: NumericSettings = DEFAULT) -> np.ndarray:
-    """Oracle for pair_reduced_state via the full 2^N embedding, N <= 8.
-
-    Each collective level with k excitations is expanded into the equal
-    superposition of the C(N, k) basis strings holding k excitations,
-    the state is conjugated into the 2^N space, and qubits 3..N are
-    traced out exactly.
-    """
-    s = SpinQuantum.from_j(spin)
-    if s.two_j < 2:
-        raise ValidationError(f"pair reduction needs j >= 1, got j = {s.j}")
-    n = s.two_j
-    if n > 8:
-        raise CapacityError(f"brute-force embedding capped at N = 8 qubits, got N = {n}")
-    rho = as_complex_matrix(rho, "rho")
-    if rho.shape[0] != s.dim:
-        raise ValidationError(f"state dimension {rho.shape[0]} does not match j = {s.j}")
-    validate_density_matrix(rho, settings, "rho")
-
-    embed = np.zeros((2 ** n, s.dim))
-    for col in range(s.dim):
-        k = s.two_j - col  # excitations at this level; |e> encodes as bit 0
-        norm = 1.0 / np.sqrt(math.comb(n, k))
-        for string in range(2 ** n):
-            if n - bin(string).count("1") == k:
-                embed[string, col] = norm
-    full = embed @ rho @ embed.T
-    blocks = full.reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
-    out = np.einsum("arbr->ab", blocks)
-    out = 0.5 * (out + out.conj().T)
-    return validate_two_qubit_state(out, settings, "pair-reduced state (brute force)")

@@ -14,14 +14,6 @@ class ValidationError(DickeSimError, ValueError):
     """An input failed a documented precondition; message names the check."""
 
 
-class SingularMatrixError(DickeSimError):
-    """Linear system singular to working precision; message carries the diagnostic."""
-
-
-class NotPositiveSemidefiniteError(DickeSimError):
-    """Matrix has an eigenvalue below the allowed PSD tolerance."""
-
-
 class DegenerateKernelError(DickeSimError):
     """Null space is empty or multi-dimensional at working precision."""
 

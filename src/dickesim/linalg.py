@@ -1,24 +1,16 @@
-"""Dense linear algebra with explicit failure contracts.
+"""Null vectors and input checks for dense matrices.
 
-Thin wrappers around numpy/scipy factorizations.  The point is not the
-math (LAPACK does that) but the guarantees: every function validates its
-input, states what it returns, and raises a typed error instead of
-handing back garbage when the problem is ill-posed.
+The point is not the math (LAPACK does that) but the guarantees: input
+is checked to be a finite square matrix (Hermitian where required), and
+an ill-posed null-space problem raises a typed error instead of handing
+back garbage.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    DegenerateKernelError,
-    NotPositiveSemidefiniteError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import DegenerateKernelError, ValidationError
 from .settings import DEFAULT, NumericSettings
 
 
@@ -45,76 +37,6 @@ def require_hermitian(A, tol, name="matrix"):
         raise ValidationError(
             f"{name} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.1e}"
         )
-
-
-def hermitian_eig(A, settings: NumericSettings = DEFAULT):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns
-    -------
-    w : (n,) float ndarray, ascending
-    V : (n, n) complex ndarray, orthonormal columns, A V = V diag(w)
-    """
-    A = as_complex_matrix(A)
-    require_hermitian(A, settings.hermiticity_tol)
-    w, V = np.linalg.eigh(A)
-    return w, V
-
-
-def solve_linear(A, b, settings: NumericSettings = DEFAULT):
-    """Solve A x = b for square A, refusing near-singular systems.
-
-    Raises SingularMatrixError when the LU pivots collapse or the
-    computed solution fails the relative residual bound
-    ``settings.solve_rtol`` (both carry the diagnostic in the message).
-    """
-    A = as_complex_matrix(A)
-    b = np.asarray(b, dtype=complex)
-    if b.shape[0] != A.shape[0]:
-        raise ValidationError(f"shape mismatch: A is {A.shape}, b has leading dim {b.shape[0]}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError("right-hand side contains non-finite entries")
-
-    with warnings.catch_warnings():
-        # scipy warns on exact zero pivots; the pivot check below turns
-        # that condition into a typed error instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
-    pivots = np.abs(np.diag(lu))
-    # pivot collapse is the cheap singularity certificate from the factorization
-    if pivots.min() == 0.0 or pivots.min() < 1e-14 * pivots.max():
-        raise SingularMatrixError(
-            "matrix singular to working precision: "
-            f"pivot ratio {pivots.min():.3e} / {pivots.max():.3e}"
-        )
-    x = scipy.linalg.lu_solve((lu, piv), b)
-
-    residual = float(np.linalg.norm(A @ x - b))
-    bound = settings.solve_rtol * (np.linalg.norm(A, "fro") * np.linalg.norm(x) + np.linalg.norm(b))
-    if residual > bound:
-        raise SingularMatrixError(
-            f"solution rejected: residual {residual:.3e} exceeds bound {bound:.3e} "
-            "(matrix too ill-conditioned)"
-        )
-    return x
-
-
-def matrix_sqrt_psd(A, settings: NumericSettings = DEFAULT):
-    """Hermitian square root of a PSD matrix via eigendecomposition.
-
-    Eigenvalues in [settings.psd_clamp, 0) are treated as rounding noise
-    and clamped to zero; anything below that raises
-    NotPositiveSemidefiniteError.
-    """
-    A = as_complex_matrix(A)
-    require_hermitian(A, settings.hermiticity_tol)
-    w, V = np.linalg.eigh(A)
-    if w[0] < settings.psd_clamp:
-        raise NotPositiveSemidefiniteError(
-            f"matrix has eigenvalue {w[0]:.3e} below tolerance {settings.psd_clamp:.1e}"
-        )
-    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    return 0.5 * (root + root.conj().T)
 
 
 def null_vector(A, settings: NumericSettings = DEFAULT):

@@ -97,19 +97,6 @@ def meanfield_jacobian(s, omega_r) -> np.ndarray:
     ])
 
 
-def finite_difference_jacobian(s, omega_r, step=1e-6) -> np.ndarray:
-    """Central-difference Jacobian, the independent check on the analytic one."""
-    s = _as_bloch(s)
-    out = np.zeros((3, 3))
-    for k in range(3):
-        bump = np.zeros(3)
-        bump[k] = step
-        out[:, k] = (meanfield_rhs(s + bump, omega_r) - meanfield_rhs(s - bump, omega_r)) / (
-            2.0 * step
-        )
-    return out
-
-
 def jacobian_eigenvalues(point, omega_r, settings: NumericSettings = DEFAULT) -> np.ndarray:
     """Jacobian spectrum at an equilibrium (all three eigenvalues)."""
     point = _as_bloch(point)
@@ -136,7 +123,7 @@ def _is_attracting(eigs) -> bool:
 def _newton_polish(s, omega_r, sweeps=3):
     # the Jacobian is singular along the radius, so use least squares
     for _ in range(sweeps):
-        f = meanfield_rhs(s, omega_r)
+        f = _rhs_kernel(s, omega_r)
         if np.linalg.norm(f) < 1e-14:
             break
         step, *_ = np.linalg.lstsq(meanfield_jacobian(s, omega_r), -f, rcond=None)
@@ -144,7 +131,7 @@ def _newton_polish(s, omega_r, sweeps=3):
     return s
 
 
-def find_fixed_points(omega_r, settings: NumericSettings = DEFAULT):
+def find_fixed_points(omega_r):
     """Equilibria of the mean-field flow on the unit sphere.
 
     Below the critical drive: two points at sx = 0, sy = omega_r,
@@ -168,7 +155,7 @@ def find_fixed_points(omega_r, settings: NumericSettings = DEFAULT):
     reports = []
     for p in points:
         p = _newton_polish(p, omega_r)
-        resid = float(np.linalg.norm(meanfield_rhs(p, omega_r)))
+        resid = float(np.linalg.norm(_rhs_kernel(p, omega_r)))
         if resid > 1e-10:
             raise ValidationError(f"equilibrium polish failed: residual {resid:.3e}")
         eigs = np.linalg.eigvals(meanfield_jacobian(p, omega_r))

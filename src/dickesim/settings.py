@@ -16,25 +16,22 @@ class NumericSettings:
     hermiticity_tol: float = 1e-10    # max entrywise |A - A^dag| accepted on input
     trace_tol: float = 1e-10          # |tr(rho) - 1| accepted for density matrices
     density_eig_floor: float = -1e-9  # most negative state eigenvalue accepted
-    psd_clamp: float = -1e-10         # eigenvalues in [psd_clamp, 0) clamp to 0
-    solve_rtol: float = 1e-9          # relative residual bound for linear solves
     null_rtol: float = 1e-9           # ||A x|| <= null_rtol * ||A||_F for null vectors
     null_gap_rtol: float = 1e-8       # second singular value below this * ||A||_F means degenerate
     fixed_point_resid: float = 1e-8   # residual accepted when classifying equilibria
     bifurcation_tol: float = 1e-6     # bisection bracket width for the critical drive
 
     def with_working_tolerance(self, tol: float) -> "NumericSettings":
-        """Settings with the solver accuracy targets replaced by ``tol``.
+        """Settings with the null-space residual bound replaced by ``tol``.
 
-        Touches only the knobs a caller would mean by "work to this
-        accuracy": the linear-solve and null-space residuals.  Time
-        evolution is exact propagation and has no accuracy knob.
-        Validation thresholds stay put.
+        Sets only ``null_rtol``, the one knob a caller would mean by
+        "work to this accuracy".  Time evolution is exact propagation
+        and has no accuracy knob.  Validation thresholds stay put.
         """
         tol = float(tol)
         if not tol > 0:
             raise ValueError("tolerance must be positive")
-        return replace(self, solve_rtol=tol, null_rtol=tol)
+        return replace(self, null_rtol=tol)
 
 
 DEFAULT = NumericSettings()

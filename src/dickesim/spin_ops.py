@@ -55,20 +55,20 @@ def m_values(spin) -> np.ndarray:
     return s.j - np.arange(s.dim)
 
 
-def build_jminus(spin) -> np.ndarray:
-    """Lowering operator J-.
+def ladder_coefficients(spin) -> np.ndarray:
+    """c_k = J-[k+1, k] for k = 0 .. 2j-1, in basis order.
 
-    J- |j, m> = sqrt(j(j+1) - m(m-1)) |j, m-1>, which with the descending
-    basis puts the coefficients on the first subdiagonal.
+    J- |j, m> = sqrt(j(j+1) - m(m-1)) |j, m-1>; with m = j - k the
+    radicand is the integer (k+1)(2j-k).
     """
     s = SpinQuantum.from_j(spin)
-    j = s.j
-    m = m_values(s)
-    out = np.zeros((s.dim, s.dim), dtype=complex)
-    for col in range(s.dim - 1):
-        mm = m[col]
-        out[col + 1, col] = np.sqrt(j * (j + 1) - mm * (mm - 1))
-    return out
+    k = np.arange(s.two_j)
+    return np.sqrt((k + 1.0) * (s.two_j - k))
+
+
+def build_jminus(spin) -> np.ndarray:
+    """Lowering operator J-, the ladder coefficients on the first subdiagonal."""
+    return np.diag(ladder_coefficients(spin), -1).astype(complex)
 
 
 def build_jplus(spin) -> np.ndarray:

@@ -21,13 +21,12 @@ from dickesim import (
     find_fixed_points,
     integrate_meanfield,
     normalization_D,
-    pair_reduced_brute_force,
     pair_reduced_state,
     steady_state_analytic,
     steady_state_numeric,
     triplet_to_two_qubit,
 )
-from util import random_density, trace_distance
+from util import pair_reduced_brute_force, random_density, trace_distance
 
 
 def _report(num, label, ok, detail=""):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -6,12 +8,11 @@ from dickesim import (
     CapacityError,
     ValidationError,
     concurrence,
-    pair_reduced_brute_force,
     pair_reduced_state,
     steady_state_analytic,
     triplet_to_two_qubit,
 )
-from util import random_density, random_unitary
+from util import pair_reduced_brute_force, random_density, random_unitary
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -67,13 +68,12 @@ def test_maximally_mixed_unentangled():
 @hyp_settings(max_examples=40, deadline=None)
 def test_pure_state_determinant_formula(seed):
     # for a pure state (a, b, c, d) the concurrence is 2 |ad - bc|;
-    # rho * rho_tilde is rank one there, and the three near-zero
-    # eigenvalues each contribute a sqrt(eps)-scale noise floor
+    # the factor form keeps rank-one states accurate to rounding
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
     vec /= np.linalg.norm(vec)
     expected = 2.0 * abs(vec[0] * vec[3] - vec[1] * vec[2])
-    assert concurrence(pure(vec)) == pytest.approx(expected, abs=1e-7)
+    assert concurrence(pure(vec)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_local_unitary_invariance_full_rank():
@@ -87,14 +87,14 @@ def test_local_unitary_invariance_full_rank():
 
 
 def test_local_unitary_invariance_low_rank():
-    # sqrt of a near-zero eigenvalue of rho * rho_tilde floats around
-    # sqrt(eps), so rank-deficient states only support a looser bound
+    # rank-deficient states are where the eigenvalues of rho * rho_tilde
+    # lose half the digits; the factor form must not
     rng = np.random.default_rng(11)
     for rank in (1, 2, 3):
         rho = random_density(rng, 4, rank=rank)
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         assert concurrence(u @ rho @ u.conj().T) == pytest.approx(
-            concurrence(rho), abs=1e-7
+            concurrence(rho), abs=1e-12
         )
 
 
@@ -219,6 +219,21 @@ def test_pair_reduction_exchange_symmetric():
         assert np.trace(pair).real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("j", [16, 64])
+def test_pair_reduction_of_coherent_state_is_product(j):
+    # a spin coherent state is the N-fold product of one qubit state, so
+    # every pair is that state twice; this reaches every off-diagonal
+    # moment at sizes the brute force cannot
+    theta, phi = 1.1, 0.7
+    psi = np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+    n = 2 * j
+    k = np.arange(n + 1)  # level k holds k qubits in |g>
+    binom = np.array([math.comb(n, i) for i in k], dtype=float)
+    amps = np.sqrt(binom) * psi[0] ** (n - k) * psi[1] ** k
+    one = np.outer(psi, psi.conj())
+    assert np.abs(pair_reduced_state(pure(amps), j) - np.kron(one, one)).max() < 1e-12
+
+
 def test_pair_reduction_large_j_smoke():
     rho = steady_state_analytic(16, 0.8)
     pair = pair_reduced_state(rho, 16)
@@ -240,10 +255,10 @@ def test_pair_reduction_validation():
 # ---------------------------------------------------------------- pinned values
 
 def test_driven_pair_concurrence_regression():
-    # exact value 1/11 at j = 1, gamma = 1; the computed number carries a
-    # sqrt(eps)-scale floor from a near-zero eigenvalue, hence 1e-8
+    # exact value 1/11 at j = 1, gamma = 1; the state is rank one, which
+    # the factor form resolves to rounding
     rho = triplet_to_two_qubit(steady_state_analytic(1, 1.0))
-    assert concurrence(rho) == pytest.approx(1.0 / 11.0, abs=1e-8)
+    assert concurrence(rho) == pytest.approx(1.0 / 11.0, abs=1e-12)
 
 
 def test_driven_pair_concurrence_vanishes_in_both_limits():
@@ -254,8 +269,9 @@ def test_driven_pair_concurrence_vanishes_in_both_limits():
 
 def test_single_flip_level_pair_concurrence():
     # N qubits sharing a single flip: the pair concurrence of that
-    # symmetric level is exactly 2/N; the pair state is rank-deficient,
-    # so the computed value carries the usual sqrt(eps) floor
+    # symmetric level is exactly 2/N; the |gg> population of the pair
+    # state is zero only up to rounding, and the concurrence depends on
+    # its square root, so the input carries a sqrt(eps)-scale floor
     for n in (2, 4, 6, 8):
         spin_dim = n + 1
         rho = np.zeros((spin_dim, spin_dim), dtype=complex)

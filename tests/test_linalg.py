@@ -5,13 +5,9 @@ from hypothesis.extra.numpy import arrays
 
 from dickesim import (
     DegenerateKernelError,
-    NotPositiveSemidefiniteError,
-    SingularMatrixError,
     ValidationError,
-    hermitian_eig,
-    matrix_sqrt_psd,
     null_vector,
-    solve_linear,
+    validate_density_matrix,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -24,122 +20,21 @@ def complex_matrix(n):
     ).map(lambda ab: ab[0] + 1j * ab[1])
 
 
-# ---------------------------------------------------------------- hermitian_eig
-
-def test_eig_identity():
-    w, _ = hermitian_eig(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0], atol=1e-14)
-
-
-def test_eig_pauli_z_ascending():
-    w, _ = hermitian_eig(np.diag([1.0, -1.0]))
-    assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
-
-
-@given(st.integers(1, 6).flatmap(complex_matrix))
-@hsettings(max_examples=60, deadline=None)
-def test_eig_reconstruction(m):
-    a = 0.5 * (m + m.conj().T)
-    w, v = hermitian_eig(a)
-    scale = max(1.0, np.linalg.norm(a, "fro"))
-    assert np.all(np.diff(w) >= 0)
-    assert np.abs(v.conj().T @ v - np.eye(len(a))).max() < 1e-10
-    assert np.linalg.norm((v * w) @ v.conj().T - a, "fro") < 1e-10 * scale
-
+# ---------------------------------------------------------------- input checks
 
 def test_eig_rejects_nonhermitian():
-    with pytest.raises(ValidationError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        validate_density_matrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
 
 def test_eig_rejects_nonsquare():
-    with pytest.raises(ValidationError):
-        hermitian_eig(np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="square"):
+        null_vector(np.zeros((2, 3)))
 
 
 def test_eig_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------- solve_linear
-
-def test_solve_identity():
-    b = np.array([1.0 + 2j, -3.0])
-    assert np.allclose(solve_linear(np.eye(2), b), b, atol=1e-14)
-
-
-def test_solve_diagonal():
-    x = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-
-
-@given(st.integers(2, 10).flatmap(complex_matrix), st.integers(0, 2 ** 31 - 1))
-@hsettings(max_examples=40, deadline=None)
-def test_solve_residual_bound(m, seed):
-    # diagonal shift keeps the random system comfortably nonsingular
-    a = m + (2.0 * np.abs(m).sum()) * np.eye(len(m)) + np.eye(len(m))
-    b = np.random.default_rng(seed).normal(size=len(m))
-    x = solve_linear(a, b)
-    resid = np.linalg.norm(a @ x - b)
-    assert resid <= 1e-9 * (np.linalg.norm(a, "fro") * np.linalg.norm(x) + np.linalg.norm(b))
-
-
-def test_solve_large_well_conditioned():
-    rng = np.random.default_rng(5)
-    n = 1089  # largest dense dimension the steady-state path ever builds
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 50.0 * np.sqrt(n) * np.eye(n)
-    b = rng.normal(size=n)
-    x = solve_linear(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-9 * (
-        np.linalg.norm(a, "fro") * np.linalg.norm(x) + np.linalg.norm(b)
-    )
-
-
-def test_solve_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
-
-
-def test_solve_shape_mismatch():
-    with pytest.raises(ValidationError):
-        solve_linear(np.eye(2), np.zeros(3))
-
-
-# ---------------------------------------------------------------- matrix_sqrt_psd
-
-def test_sqrt_diagonal():
-    assert np.allclose(matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-
-def test_sqrt_identity():
-    assert np.allclose(matrix_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-
-def test_sqrt_projector_idempotent():
-    v = np.array([1.0, 1j]) / np.sqrt(2.0)
-    p = np.outer(v, v.conj())
-    assert np.abs(matrix_sqrt_psd(p) - p).max() < 1e-12
-
-
-@given(st.integers(1, 6).flatmap(complex_matrix))
-@hsettings(max_examples=60, deadline=None)
-def test_sqrt_squares_back(m):
-    a = m @ m.conj().T  # PSD by construction
-    r = matrix_sqrt_psd(a)
-    assert np.abs(r - r.conj().T).max() < 1e-12
-    assert np.linalg.norm(r @ r - a, "fro") <= 1e-9 * max(1.0, np.linalg.norm(a, "fro"))
-
-
-def test_sqrt_rejects_negative():
-    with pytest.raises(NotPositiveSemidefiniteError) as err:
-        matrix_sqrt_psd(np.diag([1.0, -0.5]))
-    assert "-5" in str(err.value)  # offending eigenvalue reported
-
-
-def test_sqrt_clamps_noise():
-    r = matrix_sqrt_psd(np.diag([1.0, -5e-11]))
-    assert np.allclose(r, np.diag([1.0, 0.0]), atol=1e-5)
+    with pytest.raises(ValidationError, match="non-finite"):
+        null_vector(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------- null_vector

@@ -7,13 +7,13 @@ from dickesim import (
     ValidationError,
     bifurcation_scan,
     find_fixed_points,
-    finite_difference_jacobian,
     integrate_meanfield,
     jacobian_eigenvalues,
     meanfield_jacobian,
     meanfield_rhs,
     stable_branch_summary,
 )
+from util import finite_difference_jacobian
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 

@@ -121,6 +121,17 @@ def test_jpjm_diagonal_rates(j):
     assert np.allclose(rates, j * (j + 1.0) - m * (m - 1.0), atol=1e-11)
 
 
+@pytest.mark.parametrize("j", [0, 0.5, 1, 2.5, 16, 64])
+def test_jminus_equals_per_column_formula(j):
+    # the textbook sqrt(j(j+1) - m(m-1)) one column at a time; every
+    # radicand is exact in double precision, so the match is bitwise
+    m = m_values(j)
+    expected = np.zeros((len(m), len(m)), dtype=complex)
+    for col in range(len(m) - 1):
+        expected[col + 1, col] = np.sqrt(j * (j + 1) - m[col] * (m[col] - 1))
+    assert np.array_equal(build_jminus(j), expected)
+
+
 # ---------------------------------------------------------------- expectation
 
 def test_expectation_ground_jz():

@@ -1,8 +1,19 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
-from dickesim import build_jminus
+from dickesim import (
+    CapacityError,
+    SpinQuantum,
+    ValidationError,
+    build_jminus,
+    meanfield_rhs,
+    validate_density_matrix,
+    validate_two_qubit_state,
+)
+from dickesim.linalg import as_complex_matrix
 
 
 def trace_distance(a, b):
@@ -41,3 +52,49 @@ def master_equation_rhs(rho, params):
         + p.gamma_a * p.nbar / 2.0 * (2.0 * jp @ rho @ jm - jmjp @ rho - rho @ jmjp)
         + p.gamma_a * (p.nbar + 1.0) / 2.0 * (2.0 * jm @ rho @ jp - jpjm @ rho - rho @ jpjm)
     )
+
+
+def pair_reduced_brute_force(rho, spin):
+    """Oracle for pair_reduced_state via the full 2^N embedding, N <= 8.
+
+    Each collective level with k excitations is expanded into the equal
+    superposition of the C(N, k) basis strings holding k excitations,
+    the state is conjugated into the 2^N space, and qubits 3..N are
+    traced out exactly.
+    """
+    s = SpinQuantum.from_j(spin)
+    if s.two_j < 2:
+        raise ValidationError(f"pair reduction needs j >= 1, got j = {s.j}")
+    n = s.two_j
+    if n > 8:
+        raise CapacityError(f"brute-force embedding capped at N = 8 qubits, got N = {n}")
+    rho = as_complex_matrix(rho, "rho")
+    if rho.shape[0] != s.dim:
+        raise ValidationError(f"state dimension {rho.shape[0]} does not match j = {s.j}")
+    validate_density_matrix(rho, name="rho")
+
+    embed = np.zeros((2 ** n, s.dim))
+    for col in range(s.dim):
+        k = s.two_j - col  # excitations at this level; |e> encodes as bit 0
+        norm = 1.0 / np.sqrt(math.comb(n, k))
+        for string in range(2 ** n):
+            if n - bin(string).count("1") == k:
+                embed[string, col] = norm
+    full = embed @ rho @ embed.T
+    blocks = full.reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
+    out = np.einsum("arbr->ab", blocks)
+    out = 0.5 * (out + out.conj().T)
+    return validate_two_qubit_state(out, name="pair-reduced state (brute force)")
+
+
+def finite_difference_jacobian(s, omega_r, step=1e-6):
+    """Central-difference Jacobian, the independent check on meanfield_jacobian."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros((3, 3))
+    for k in range(3):
+        bump = np.zeros(3)
+        bump[k] = step
+        out[:, k] = (meanfield_rhs(s + bump, omega_r) - meanfield_rhs(s - bump, omega_r)) / (
+            2.0 * step
+        )
+    return out
