@@ -13,18 +13,20 @@ Superoperators use column stacking throughout: vec(A X B) = (B^T kron A) vec(X).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import CapacityError, ValidationError
 from .linalg import as_complex_matrix, hermiticity_defect, null_vector, require_hermitian
 from .settings import DEFAULT, NumericSettings
-from .spin_ops import SpinQuantum, build_jminus, build_jz
+from .spin_ops import SpinQuantum, ladder_coefficients
 
-# dense Liouvillians (steady state and evolve) get expensive as d^4;
-# beyond this only the zero-temperature analytic route remains
+# evolve's dense propagator grows as d^6, and steady_state_numeric keeps
+# the same domain; beyond it only the zero-temperature analytic route remains
 DENSE_DIM_LIMIT = 33
 
 
@@ -85,6 +87,24 @@ class Trajectory:
         return np.array([np.einsum("ij,ji->", rho, A) for rho in self.states])
 
 
+def check_hermitian_unit_trace(rho, settings: NumericSettings = DEFAULT, name="rho"):
+    """The two state invariants that need no spectrum; returns the array."""
+    rho = as_complex_matrix(rho, name)
+    require_hermitian(rho, settings.hermiticity_tol, name)
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > settings.trace_tol:
+        raise ValidationError(f"{name} trace deviates from 1: tr = {tr!r}")
+    return rho
+
+
+def require_eig_floor(lowest, settings: NumericSettings = DEFAULT, name="rho"):
+    """The third invariant, given the smallest eigenvalue of the hermitized state."""
+    if lowest < settings.density_eig_floor:
+        raise ValidationError(
+            f"{name} not positive semidefinite: min eigenvalue {lowest:.3e}"
+        )
+
+
 def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"):
     """Check the three state invariants, returning the validated array.
 
@@ -92,23 +112,9 @@ def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"
     smallest eigenvalue above density_eig_floor.  Raises ValidationError
     naming the violated check.
     """
-    rho = as_complex_matrix(rho, name)
-    require_hermitian(rho, settings.hermiticity_tol, name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > settings.trace_tol:
-        raise ValidationError(f"{name} trace deviates from 1: tr = {tr!r}")
-    lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lo < settings.density_eig_floor:
-        raise ValidationError(
-            f"{name} not positive semidefinite: min eigenvalue {lo:.3e}"
-        )
+    rho = check_hermitian_unit_trace(rho, settings, name)
+    require_eig_floor(float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]), settings, name)
     return rho
-
-
-def collective_ops(spin):
-    """(J-, J+, Jz) for the symmetric sector."""
-    Jm = build_jminus(spin)
-    return Jm, Jm.conj().T, build_jz(spin)
 
 
 def vec(rho) -> np.ndarray:
@@ -120,38 +126,79 @@ def unvec(x, dim) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(dim, dim, order="F")
 
 
-def build_liouvillian(params: ModelParams) -> np.ndarray:
-    """Dense (d^2, d^2) generator acting on column-stacked states."""
+@functools.lru_cache(maxsize=64)
+def _generator_pattern(two_j):
+    """CSC structure of the generator and its three unit-rate value arrays.
+
+    Row a + d b of L vec(X) is drho[a, b].  With c_k = J-[k+1, k], it
+    reads X at (a, b) and at six neighbours:
+
+        drive (omega = 1):  -i/2 (c_a X[a+1, b] + c_{a-1} X[a-1, b]
+                                  - c_b X[a, b+1] - c_{b-1} X[a, b-1])
+        heating (rate 1):   2 c_a c_b X[a+1, b+1] - (c_{a-1}^2 + c_{b-1}^2) X[a, b]
+        decay (rate 1):     2 c_{a-1} c_{b-1} X[a-1, b-1] - (c_a^2 + c_b^2) X[a, b]
+
+    where c_{-1} = c_{2j} = 0.  Each value is computed as in the
+    Kronecker-sum form, so build_liouvillian reproduces it bit for bit.
+    Returns (indptr, indices, drive, heating, decay), all read-only.
+    """
+    d = two_j + 1
+    c = ladder_coefficients(SpinQuantum(two_j))
+    up = np.append(c, 0.0)         # up[k] = J+[k, k+1]
+    down = np.insert(c, 0, 0.0)    # down[k] = J-[k, k-1]
+    b, a = np.divmod(np.arange(d * d), d)
+    zero = np.zeros(d * d)
+    terms = (  # (row shift, column shift, drive, heating, decay) of the source X entry
+        (1, 0, -0.5j * up[a], zero, zero),
+        (-1, 0, -0.5j * down[a], zero, zero),
+        (0, 1, 0.5j * up[b], zero, zero),
+        (0, -1, 0.5j * down[b], zero, zero),
+        (1, 1, zero, 2.0 * up[a] * up[b], zero),
+        (-1, -1, zero, zero, 2.0 * down[a] * down[b]),
+        (0, 0, zero, -(down[a] * down[a] + down[b] * down[b]), -(up[a] * up[a] + up[b] * up[b])),
+    )
+    rows, cols, values = [], [], []
+    for da, db, *parts in terms:
+        keep = (a + da >= 0) & (a + da < d) & (b + db >= 0) & (b + db < d)
+        rows.append((a + d * b)[keep])
+        cols.append((a + da + d * (b + db))[keep])
+        values.append([np.asarray(v, dtype=complex)[keep] for v in parts])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(d * d + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=d * d), out=indptr[1:])
+    out = [indptr, rows[order].astype(np.int32)]
+    out += [np.concatenate(part)[order] for part in zip(*values)]
+    for arr in out:
+        arr.flags.writeable = False
+    return tuple(out)
+
+
+def build_liouvillian(params: ModelParams) -> sp.csc_array:
+    """Sparse (d^2, d^2) generator acting on column-stacked states.
+
+    At most seven nonzeros per row.  The structure and the unit-rate
+    values are cached per 2j; a call only combines them with omega,
+    gamma_a nbar / 2 and gamma_a (nbar + 1) / 2.  The entries equal the
+    dense Kronecker-sum form exactly.
+    """
     p = params
-    Jm, Jp, _ = collective_ops(p.j)
-    d = p.j.dim
-    eye = np.eye(d)
-    H = 0.5 * p.omega * (Jp + Jm)
-
-    def pre(A):
-        return np.kron(eye, A)
-
-    def post(A):
-        return np.kron(A.T, eye)
-
-    def sandwich(A, B):
-        # vec(A X B) = (B^T kron A) vec X
-        return np.kron(B.T, A)
-
-    JmJp = Jm @ Jp
-    JpJm = Jp @ Jm
-    L = -1j * (pre(H) - post(H))
-    L = L + p.gamma_a * p.nbar / 2.0 * (2.0 * sandwich(Jp, Jm) - pre(JmJp) - post(JmJp))
-    L = L + p.gamma_a * (p.nbar + 1.0) / 2.0 * (2.0 * sandwich(Jm, Jp) - pre(JpJm) - post(JpJm))
-    return L
+    indptr, indices, drive, heating, decay = _generator_pattern(p.j.two_j)
+    data = (
+        p.omega * drive
+        + (p.gamma_a * p.nbar / 2.0) * heating
+        + (p.gamma_a * (p.nbar + 1.0) / 2.0) * decay
+    )
+    n = len(indptr) - 1
+    return sp.csc_array((data, indices, indptr), shape=(n, n))
 
 
 def _require_dense(params: ModelParams):
-    """Both dense-generator routes stop at the same size."""
+    """Both generator routes stop at the same size."""
     d = params.j.dim
     if d > DENSE_DIM_LIMIT:
         raise CapacityError(
-            f"dimension {d} exceeds dense limit {DENSE_DIM_LIMIT} (j <= 16); "
+            f"dimension {d} exceeds the numeric routes' limit {DENSE_DIM_LIMIT} (j <= 16); "
             "zero-temperature steady states beyond it: analytic.steady_state_analytic"
         )
 
@@ -185,7 +232,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
             f"rho0 dimension {rho0.shape[0]} does not match j = {p.j.j} (dim {d})"
         )
 
-    L = build_liouvillian(p)
+    L = build_liouvillian(p).toarray()
     # np.linspace steps differ from each other by about one ulp of the end time
     slack = 4.0 * np.spacing(t_grid[-1])
     step = propagator = None
@@ -204,7 +251,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
 
 
 def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAULT) -> np.ndarray:
-    """Steady state as the one-dimensional null space of the dense generator.
+    """Steady state as the one-dimensional null space of the sparse generator.
 
     Valid whenever the stationary state is unique, which for this model
     means omega > 0, or omega = 0 with nbar = 0 (pure decay funnels to

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .dynamics import validate_density_matrix
+from .dynamics import check_hermitian_unit_trace, require_eig_floor, validate_density_matrix
 from .linalg import as_complex_matrix
 from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, ladder_coefficients, m_values
@@ -27,11 +27,15 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _YY = np.kron(_SY, _SY)
 
 
-def validate_two_qubit_state(rho, settings: NumericSettings = DEFAULT, name="rho"):
+def _as_two_qubit(rho, name):
     rho = as_complex_matrix(rho, name)
     if rho.shape != (4, 4):
         raise ValidationError(f"{name} must be 4x4, got {rho.shape}")
-    return validate_density_matrix(rho, settings, name)
+    return rho
+
+
+def validate_two_qubit_state(rho, settings: NumericSettings = DEFAULT, name="rho"):
+    return validate_density_matrix(_as_two_qubit(rho, name), settings, name)
 
 
 def concurrence(rho, settings: NumericSettings = DEFAULT) -> float:
@@ -42,10 +46,12 @@ def concurrence(rho, settings: NumericSettings = DEFAULT) -> float:
     rho* (sy kron sy).  For any factor rho = X X^dag those l_i are the
     singular values of X^T (sy kron sy) X, which stays accurate to
     rounding when rho is rank-deficient, where the eigenvalues of the
-    non-Hermitian product lose half the digits.
+    non-Hermitian product lose half the digits.  The one eigh that
+    gives the factor also gives the positivity check of the input.
     """
-    rho = validate_two_qubit_state(rho, settings)
-    w, v = np.linalg.eigh(rho)
+    rho = check_hermitian_unit_trace(_as_two_qubit(rho, "rho"), settings, "rho")
+    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    require_eig_floor(float(w[0]), settings, "rho")
     x = v * np.sqrt(np.clip(w, 0.0, None))
     lam = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

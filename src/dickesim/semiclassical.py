@@ -85,10 +85,8 @@ def meanfield_rhs(s, omega_r) -> np.ndarray:
     return _rhs_kernel(_as_bloch(s), _check_omega_r(omega_r))
 
 
-def meanfield_jacobian(s, omega_r) -> np.ndarray:
-    """Analytic 3x3 Jacobian of meanfield_rhs."""
-    s = _as_bloch(s)
-    omega_r = _check_omega_r(omega_r)
+def _jacobian_kernel(s, omega_r) -> np.ndarray:
+    """meanfield_jacobian without input checks, for callers that validated already."""
     sx, sy, sz = s
     return np.array([
         [sz, 0.0, sx],
@@ -97,16 +95,21 @@ def meanfield_jacobian(s, omega_r) -> np.ndarray:
     ])
 
 
+def meanfield_jacobian(s, omega_r) -> np.ndarray:
+    """Analytic 3x3 Jacobian of meanfield_rhs."""
+    return _jacobian_kernel(_as_bloch(s), _check_omega_r(omega_r))
+
+
 def jacobian_eigenvalues(point, omega_r, settings: NumericSettings = DEFAULT) -> np.ndarray:
     """Jacobian spectrum at an equilibrium (all three eigenvalues)."""
     point = _as_bloch(point)
     omega_r = _check_omega_r(omega_r)
-    resid = float(np.linalg.norm(meanfield_rhs(point, omega_r)))
+    resid = float(np.linalg.norm(_rhs_kernel(point, omega_r)))
     if resid > settings.fixed_point_resid:
         raise ValidationError(
             f"not a fixed point: |rhs| = {resid:.3e} > {settings.fixed_point_resid:.1e}"
         )
-    return np.linalg.eigvals(meanfield_jacobian(point, omega_r))
+    return np.linalg.eigvals(_jacobian_kernel(point, omega_r))
 
 
 def _transverse(eigs):
@@ -126,7 +129,7 @@ def _newton_polish(s, omega_r, sweeps=3):
         f = _rhs_kernel(s, omega_r)
         if np.linalg.norm(f) < 1e-14:
             break
-        step, *_ = np.linalg.lstsq(meanfield_jacobian(s, omega_r), -f, rcond=None)
+        step, *_ = np.linalg.lstsq(_jacobian_kernel(s, omega_r), -f, rcond=None)
         s = s + step
     return s
 
@@ -158,7 +161,7 @@ def find_fixed_points(omega_r):
         resid = float(np.linalg.norm(_rhs_kernel(p, omega_r)))
         if resid > 1e-10:
             raise ValidationError(f"equilibrium polish failed: residual {resid:.3e}")
-        eigs = np.linalg.eigvals(meanfield_jacobian(p, omega_r))
+        eigs = np.linalg.eigvals(_jacobian_kernel(p, omega_r))
         reports.append(FixedPointReport(point=p, jacobian_eigenvalues=eigs, stable=_is_attracting(eigs)))
     reports.sort(key=lambda r: not r.stable)
     return reports

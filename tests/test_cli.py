@@ -205,8 +205,12 @@ def test_evolve_rejects_motionless_model(tmp_path, capsys):
 
 # ---------------------------------------------------------------- figure scans
 
-def test_fig2_deterministic_and_parallel_identical(tmp_path):
-    base = ["fig2", "--gamma-grid", "log:0.1:10:7"]
+@pytest.mark.parametrize("base, rows", [
+    (["fig1", "--gamma-grid", "log:0.1:10:5", "--nbar-grid", "0:1:3"], 15),
+    (["fig2", "--gamma-grid", "log:0.1:10:7"], 7),
+    (["fig3", "--j-list", "1,4,16", "--omega-r-grid", "0.5:1.5:5"], 15),
+], ids=["fig1", "fig2", "fig3"])
+def test_scan_deterministic_and_parallel_identical(tmp_path, base, rows):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert run_cli(base + ["--output", str(paths[0])]) == 0
     assert run_cli(base + ["--output", str(paths[1])]) == 0
@@ -214,6 +218,7 @@ def test_fig2_deterministic_and_parallel_identical(tmp_path):
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
     assert b"\r" not in blobs[0]
+    assert len(blobs[0].splitlines()) == rows + 1
 
 
 def test_fig2_values_match_library(tmp_path):

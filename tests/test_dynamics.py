@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import example, given, settings as hsettings, strategies as st
 
 from dickesim import (
@@ -15,13 +16,21 @@ from dickesim import (
     closed_form_j1,
     dicke_projector,
     evolve,
+    steady_state_analytic,
     steady_state_numeric,
     unvec,
     validate_density_matrix,
     vec,
 )
+from dickesim import linalg
 from dickesim.settings import DEFAULT
-from util import master_equation_rhs, random_density, trace_distance
+from util import (
+    liouvillian_kron,
+    master_equation_rhs,
+    random_density,
+    steady_state_svd,
+    trace_distance,
+)
 
 
 # ---------------------------------------------------------------- ModelParams
@@ -141,6 +150,16 @@ def test_zero_temperature_reduces_to_plain_decay():
     assert np.abs(build_liouvillian(p) - manual).max() == 0.0
 
 
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 7, 8, 15, 16, 24, 32])
+def test_liouvillian_equals_kronecker_sum(two_j):
+    for omega, gamma_a, nbar in ((0.8, 0.3, 0.0), (1.3, 0.7, 1.7), (0.0, 2.0, 0.0)):
+        p = ModelParams(j=two_j / 2.0, omega=omega, gamma_a=gamma_a, nbar=nbar)
+        lio = build_liouvillian(p)
+        assert sp.issparse(lio) and lio.format == "csc"
+        assert lio.nnz <= 7 * p.j.dim ** 2
+        assert np.array_equal(lio.toarray(), liouvillian_kron(p))
+
+
 # ---------------------------------------------------------------- validate_density_matrix
 
 def test_validate_density_matrix_passes(rng=np.random.default_rng(3)):
@@ -224,7 +243,7 @@ def test_evolve_single_point_grid():
 
 
 def _propagator_states(rho0, p, times):
-    lio = build_liouvillian(p)
+    lio = build_liouvillian(p).toarray()
     d = p.j.dim
     return [unvec(scipy.linalg.expm(lio * t) @ vec(rho0), d) for t in times]
 
@@ -304,6 +323,44 @@ def test_steady_rejects_no_damping():
 def test_steady_capacity_limit():
     with pytest.raises(CapacityError, match="analytic"):
         steady_state_numeric(ModelParams(j=17, omega=1.0, gamma_a=1.0))
+
+
+@given(
+    st.sampled_from([0.5, 1, 1.5, 2, 3, 4]),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+@example(4, 1.0, 0.01, 0.0)
+@hsettings(max_examples=40, deadline=None)
+def test_steady_matches_svd_oracle(j, omega, gamma_a, nbar):
+    p = ModelParams(j=j, omega=omega, gamma_a=gamma_a, nbar=nbar)
+    assert trace_distance(steady_state_numeric(p), steady_state_svd(p)) <= 1e-10
+
+
+@pytest.mark.parametrize("j", [8, 16])
+@pytest.mark.parametrize("gamma_a", [0.0794, 0.5, 3.0])
+def test_steady_matches_analytic_at_zero_temperature(j, gamma_a):
+    numeric = steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=gamma_a))
+    assert trace_distance(numeric, steady_state_analytic(j, gamma_a)) < 1e-12
+
+
+def test_steady_rebordering_near_pure_state(monkeypatch):
+    # at j = 16, gamma_a = 0.0794 the nearly pure state is almost orthogonal to
+    # the uniform border: that bordered matrix is ill-conditioned, and the
+    # solve must move on to other borders instead of calling the kernel degenerate
+    kappas = []
+    real = linalg._bordered_solve
+
+    def recording(A, border):
+        x, kappa = real(A, border)
+        kappas.append(kappa)
+        return x, kappa
+
+    monkeypatch.setattr(linalg, "_bordered_solve", recording)
+    steady_state_numeric(ModelParams(j=16, omega=1.0, gamma_a=0.0794))
+    assert len(kappas) >= 2 and kappas[0] * DEFAULT.null_gap_rtol > 1.0
+    assert kappas[-1] * DEFAULT.null_gap_rtol <= 1.0
 
 
 def test_steady_thermal_long_time_oracle():

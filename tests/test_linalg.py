@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings as hsettings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dickesim import (
+    DEFAULT,
     DegenerateKernelError,
     ValidationError,
     null_vector,
     validate_density_matrix,
 )
+from util import null_vector_svd, random_unitary
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
+normal = st.floats(
+    min_value=-10, max_value=10, allow_nan=False, allow_infinity=False, allow_subnormal=False
+)
 
 
-def complex_matrix(n):
+def complex_matrix(n, elements=finite):
     return st.tuples(
-        arrays(np.float64, (n, n), elements=finite),
-        arrays(np.float64, (n, n), elements=finite),
+        arrays(np.float64, (n, n), elements=elements),
+        arrays(np.float64, (n, n), elements=elements),
     ).map(lambda ab: ab[0] + 1j * ab[1])
 
 
@@ -75,3 +81,90 @@ def test_null_vector_scale_invariant(m, c):
         return  # hypothesis found an accidental extra degeneracy; out of scope
     overlap = np.abs(np.vdot(x1, x2))
     assert overlap > 1.0 - 1e-9
+
+
+def _phase_free_gap(x, y):
+    """max |x - y e^{i phi}| for the phase phi that best aligns unit vectors x and y."""
+    overlap = np.vdot(y, x)
+    return float(np.abs(x - y * overlap / abs(overlap)).max())
+
+
+@given(st.integers(2, 6).flatmap(lambda n: complex_matrix(n, normal)))
+@hsettings(max_examples=60, deadline=None)
+def test_null_vector_agrees_with_svd_oracle(m):
+    q, _ = np.linalg.qr(m + np.eye(len(m)))
+    a = m @ (np.eye(len(m)) - np.outer(q[:, 0], q[:, 0].conj()))
+    peak = np.abs(a).max()
+    if peak == 0.0:
+        return
+    a = a / peak  # null vectors are scale-free; this keeps norms clear of underflow
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[-1] > 1e-12 * np.linalg.norm(s) or s[-2] <= 1e-4 * np.linalg.norm(s):
+        return  # near either threshold the two routes may decide differently
+    expected = null_vector_svd(a)
+    x = null_vector(a)
+    resid = np.linalg.norm(a @ x)
+    assert resid <= DEFAULT.null_rtol * np.linalg.norm(s)
+    # a residual r puts x within angle r / sigma_{n-1} of the kernel
+    assert _phase_free_gap(x, expected) <= 2.0 * resid / s[-2] + 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 200])  # dense and SuperLU factorisation
+@pytest.mark.parametrize("kind", ["csc_array", "csr_matrix", "coo_array"])
+def test_null_vector_sparse_input(kind, n):
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    dense[np.abs(dense) < 0.4] = 0.0
+    dense[:, 3] = dense[:, :3] @ [1.0, -2.0, 0.5j]  # one kernel direction
+    x = null_vector(getattr(sp, kind)(dense))
+    assert np.linalg.norm(dense @ x) < 1e-12 * np.linalg.norm(dense)
+    assert _phase_free_gap(x, null_vector(dense)) < 1e-13
+    assert _phase_free_gap(x, null_vector_svd(dense)) < 1e-12
+
+
+def test_null_vector_sums_duplicate_entries():
+    # diag(0, 1, 2) stored with the (1, 1) entry split in two
+    a = sp.coo_array(([0.25, 0.75, 2.0], ([1, 1, 2], [1, 1, 2])), shape=(3, 3))
+    x = null_vector(a)
+    assert np.abs(np.abs(x[0]) - 1.0) < 1e-12
+    assert np.abs(x[1:]).max() < 1e-12
+
+
+def test_null_vector_sparse_input_checks():
+    with pytest.raises(ValidationError, match="square"):
+        null_vector(sp.csc_array(np.ones((2, 3))))
+    with pytest.raises(ValidationError, match="non-finite"):
+        null_vector(sp.csc_array(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+
+
+@pytest.mark.parametrize("n", [3, 6, 12, 160])
+def test_null_vector_second_singular_value_near_zero(n):
+    # sigma_{n-1} = 1e-12 ||A||_F: numerically a two-dimensional kernel
+    rng = np.random.default_rng(n)
+    u = random_unitary(rng, n)
+    v = random_unitary(rng, n)
+    s = np.linspace(1.0, 2.0, n)
+    s[-1] = 0.0
+    s[-2] = 1e-12 * np.linalg.norm(s)
+    a = (u * s) @ v.conj().T
+    with pytest.raises(DegenerateKernelError):
+        null_vector_svd(a)
+    with pytest.raises(DegenerateKernelError):
+        null_vector(a)
+    with pytest.raises(DegenerateKernelError):
+        null_vector(sp.csc_array(a))
+    # the same matrix with a healthy second singular value passes
+    s[-2] = 1e-3 * np.linalg.norm(s)
+    x = null_vector((u * s) @ v.conj().T)
+    assert _phase_free_gap(x, v[:, -1]) < 1e-10
+
+
+@pytest.mark.parametrize("extra", [1, 200])  # dense and SuperLU factorisation
+def test_null_vector_kernel_orthogonal_to_uniform_border(extra):
+    # kernel (1, -1, 0, ...)/sqrt(2) is orthogonal to the uniform first
+    # border, which leaves the first bordered matrix exactly singular
+    a = sp.block_diag([np.array([[1.0, 1.0], [2.0, 2.0]]), sp.eye_array(extra)], format="csc")
+    expected = np.zeros(2 + extra)
+    expected[:2] = [1.0, -1.0]
+    x = null_vector(a)
+    assert _phase_free_gap(x, expected / np.sqrt(2.0)) < 1e-14

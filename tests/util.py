@@ -5,7 +5,9 @@ import math
 import numpy as np
 
 from dickesim import (
+    DEFAULT,
     CapacityError,
+    DegenerateKernelError,
     SpinQuantum,
     ValidationError,
     build_jminus,
@@ -52,6 +54,68 @@ def master_equation_rhs(rho, params):
         + p.gamma_a * p.nbar / 2.0 * (2.0 * jp @ rho @ jm - jmjp @ rho - rho @ jmjp)
         + p.gamma_a * (p.nbar + 1.0) / 2.0 * (2.0 * jm @ rho @ jp - jpjm @ rho - rho @ jpjm)
     )
+
+
+def liouvillian_kron(params):
+    """The generator as the dense Kronecker sum, term by term.
+
+    vec(A X B) = (B^T kron A) vec(X) with column stacking; the oracle
+    the sparse build_liouvillian must equal entry for entry.
+    """
+    p = params
+    jm = build_jminus(p.j)
+    jp = jm.conj().T
+    eye = np.eye(p.j.dim)
+
+    def pre(a):
+        return np.kron(eye, a)
+
+    def post(a):
+        return np.kron(a.T, eye)
+
+    ham = 0.5 * p.omega * (jp + jm)
+    jmjp, jpjm = jm @ jp, jp @ jm
+    out = -1j * (pre(ham) - post(ham))
+    out = out + p.gamma_a * p.nbar / 2.0 * (2.0 * np.kron(jm.T, jp) - pre(jmjp) - post(jmjp))
+    out = out + p.gamma_a * (p.nbar + 1.0) / 2.0 * (2.0 * np.kron(jp.T, jm) - pre(jpjm) - post(jpjm))
+    return out
+
+
+def null_vector_svd(A, settings=DEFAULT):
+    """Oracle for null_vector through the full SVD of a dense matrix.
+
+    The smallest singular value must sit below null_rtol * ||A||_F and
+    the second smallest above null_gap_rtol * ||A||_F; otherwise
+    DegenerateKernelError.
+    """
+    A = as_complex_matrix(A)
+    fnorm = float(np.linalg.norm(A, "fro"))
+    if fnorm == 0.0:
+        if A.shape[0] == 1:
+            return np.ones(1, dtype=complex)
+        raise DegenerateKernelError(
+            f"zero matrix of size {A.shape[0]}: null space has dimension {A.shape[0]}"
+        )
+    _, s, Vh = np.linalg.svd(A)
+    if s[-1] > settings.null_rtol * fnorm:
+        raise DegenerateKernelError(
+            f"no null vector at working precision: smallest singular values "
+            f"({s[-2]:.3e}, {s[-1]:.3e}), ||A||_F = {fnorm:.3e}"
+        )
+    if len(s) >= 2 and s[-2] < settings.null_gap_rtol * fnorm:
+        raise DegenerateKernelError(
+            f"null space not one-dimensional: smallest singular values "
+            f"({s[-2]:.3e}, {s[-1]:.3e}), ||A||_F = {fnorm:.3e}"
+        )
+    return Vh[-1].conj()
+
+
+def steady_state_svd(params):
+    """Steady state through the dense generator and null_vector_svd."""
+    d = params.j.dim
+    rho = null_vector_svd(liouvillian_kron(params)).reshape(d, d, order="F")
+    rho = rho / np.trace(rho)
+    return validate_density_matrix(0.5 * (rho + rho.conj().T), name="steady state (SVD)")
 
 
 def pair_reduced_brute_force(rho, spin):
