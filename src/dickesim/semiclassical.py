@@ -20,6 +20,15 @@ Below omega_r = 1 the attracting equilibrium sits at
 branches collide at sz = 0 and for larger drives only neutrally stable
 rotation centers remain.  bifurcation_scan locates that loss of
 attraction by bisection.
+
+The flow is a rotation about x plus a conformal boost toward -z, and
+both are Moebius maps of the Bloch sphere (Carmichael, J. Phys. B 13,
+3551 (1980)).  On a 2-spinor psi with s = r psi^dag sigma psi /
+psi^dag psi, r = |s|, it is linear: psi' = A psi with
+A = -(i omega_r sigma_x + r sigma_z) / 2, and A^2 = (r^2 - omega_r^2)/4.
+integrate_meanfield applies exp(h A) in closed form.  The bifurcation at
+omega_r = 1 = r is where that step matrix turns from hyperbolic (two
+fixed points, one attracting) to elliptic (rotation about two centres).
 """
 
 from __future__ import annotations
@@ -36,8 +45,6 @@ _ZERO_MODE_TOL = 1e-9
 # attraction must beat this margin to count as stable (guards roundoff
 # on the pure-rotation branch where real parts are 0 up to noise)
 _STABILITY_MARGIN = 1e-12
-# integrate_meanfield's largest RK4 step in scaled time
-_MAX_STEP = 1.0 / 1024.0
 
 
 @dataclass(frozen=True)
@@ -226,10 +233,22 @@ def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float
 
 
 def integrate_meanfield(s0, omega_r, tau_grid) -> np.ndarray:
-    """Fixed-step RK4 trajectory of the Bloch vector; rows match tau_grid.
+    """Exact trajectory of the Bloch vector; rows match tau_grid.
 
-    Steps are at most _MAX_STEP, small enough that the conserved spin
-    length drifts by less than ~1e-9 over tau spans of order 100.
+    With r = |s0|, which the flow conserves, and the spinor form
+    s = r psi^dag sigma psi / psi^dag psi, the flow is psi' = A psi,
+    A = -(i omega_r sigma_x + r sigma_z) / 2 (module docstring).  Each
+    grid interval h applies exp(h A), up to a positive scalar that
+    renormalising psi removes:
+
+        omega_r > r:  cos(mu h) I + sin(mu h)/mu A,   mu = sqrt(omega_r^2 - r^2)/2
+        omega_r < r:  I + tanh(kappa h)/kappa A,      kappa = sqrt(r^2 - omega_r^2)/2
+        omega_r = r:  I + h A
+
+    The hyperbolic form is exp(h A) / cosh(kappa h), so nothing
+    overflows however long the interval.  The work is one 2x2 step per
+    grid interval, whatever the tau span, and the spin length holds to
+    rounding.  s0 = 0 stays 0.
     """
     s = _as_bloch(s0)
     omega_r = _check_omega_r(omega_r)
@@ -241,15 +260,40 @@ def integrate_meanfield(s0, omega_r, tau_grid) -> np.ndarray:
 
     out = np.empty((len(grid), 3))
     out[0] = s
-    for k in range(len(grid) - 1):
-        span = grid[k + 1] - grid[k]
-        steps = max(1, int(np.ceil(span / _MAX_STEP)))
-        h = span / steps
-        for _ in range(steps):
-            k1 = _rhs_kernel(s, omega_r)
-            k2 = _rhs_kernel(s + 0.5 * h * k1, omega_r)
-            k3 = _rhs_kernel(s + 0.5 * h * k2, omega_r)
-            k4 = _rhs_kernel(s + h * k3, omega_r)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = s
+    r = float(np.linalg.norm(s))
+    if r == 0.0:
+        out[1:] = 0.0
+        return out
+
+    sx, sy, sz = s
+    # scaled by the larger of cos(theta/2), sin(theta/2), so no pole gives psi ~ 0
+    psi = np.array([r + sz, sx + 1j * sy]) if sz >= 0.0 else np.array([sx - 1j * sy, r - sz])
+    gen = -0.5 * np.array([[r, 1j * omega_r], [1j * omega_r, -r]])
+    h = np.diff(grid)
+    gap = (omega_r - r) * (omega_r + r)          # -4 A^2
+    if gap > 0.0:
+        mu = 0.5 * np.sqrt(gap)
+        c, t = np.cos(mu * h), np.sin(mu * h) / mu
+    elif gap < 0.0:
+        kappa = 0.5 * np.sqrt(-gap)
+        c, t = np.ones_like(h), np.tanh(kappa * h) / kappa
+    else:
+        c, t = np.ones_like(h), h
+    steps = c[:, None, None] * np.eye(2) + t[:, None, None] * gen
+
+    spinors = np.empty((len(h), 2), dtype=complex)
+    for k, step in enumerate(steps):
+        nxt = step @ psi
+        scale = np.abs(nxt).max()
+        # only a hyperbolic step with tanh = 1 can annihilate psi, and
+        # only when psi is the repelling fixed point, which the flow keeps
+        if scale > 0.0:
+            psi = nxt / scale
+        spinors[k] = psi
+    a, b = spinors[:, 0], spinors[:, 1]
+    na, nb = (a * a.conj()).real, (b * b.conj()).real
+    ab = a.conj() * b * (2.0 * r / (na + nb))
+    out[1:, 0] = ab.real
+    out[1:, 1] = ab.imag
+    out[1:, 2] = r * (na - nb) / (na + nb)
     return out

@@ -122,6 +122,14 @@ def test_output_is_valid_state(j, gamma):
     assert np.abs(rho - rho.conj().T).max() < 1e-12
 
 
+@pytest.mark.parametrize("j", [1, 4, 16, 64])
+def test_positive_semidefinite_on_fig3_grid(j):
+    # S S^dag / tr is positive semidefinite by construction; rounding must keep it so
+    for omega_r in np.linspace(0.05, 3.0, 119):
+        rho = steady_state_analytic(j, 1.0 / (j * omega_r))
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
 @pytest.mark.parametrize("j", [1, 3, 12.5])
 def test_normalization_monotone_in_gamma(j):
     grid = np.logspace(-2, 1, 25)

@@ -411,17 +411,30 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------- module entry points
 
-@pytest.mark.parametrize("module", ["dickesim", "dickesim.cli"])
-def test_python_dash_m_runs_the_cli(tmp_path, module):
-    out = tmp_path / "fig2.csv"
+def run_python(args):
+    """A fresh interpreter that imports this checkout's dickesim."""
     env = dict(os.environ)
     src = str(Path(dickesim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", module, "fig2", "--gamma-grid", "log:0.5:2:3", "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable] + list(args), env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["dickesim", "dickesim.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    out = tmp_path / "fig2.csv"
+    done = run_python(
+        ["-m", module, "fig2", "--gamma-grid", "log:0.5:2:3", "--output", str(out)]
     )
     assert done.returncode == 0, done.stderr
     header, rows = read_csv(out)
     assert header == ["gamma", "abs_g", "concurrence"]
     assert len(rows) == 3
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the package import is what every CLI run pays before any work
+    done = run_python(["-c", "import sys, dickesim; print('scipy.integrate' in sys.modules)"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

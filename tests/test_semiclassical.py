@@ -1,6 +1,8 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 
 from dickesim import (
     BifurcationNotFoundError,
@@ -13,7 +15,7 @@ from dickesim import (
     meanfield_rhs,
     stable_branch_summary,
 )
-from util import finite_difference_jacobian
+from util import finite_difference_jacobian, meanfield_dop853
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -177,7 +179,7 @@ def test_spin_length_conserved_on_long_run():
     s0 = np.array([0.3, 0.4, np.sqrt(1.0 - 0.25)])
     path = integrate_meanfield(s0, 1.3, np.linspace(0.0, 100.0, 201))
     lengths = np.einsum("ij,ij->i", path, path)
-    assert np.abs(lengths - 1.0).max() <= 1e-8
+    assert np.abs(lengths - 1.0).max() <= 1e-13
 
 
 def test_trajectory_converges_to_attracting_point():
@@ -187,9 +189,55 @@ def test_trajectory_converges_to_attracting_point():
     assert np.abs(path[-1] - [0.0, 0.6, -0.8]).max() <= 1e-6
 
 
+def test_trajectory_work_does_not_grow_with_span():
+    s0 = np.array([0.5, 0.2, -0.7])
+    s0 /= np.linalg.norm(s0)
+    start = time.perf_counter()
+    path = integrate_meanfield(s0, 0.6, [0.0, 1e9])
+    assert time.perf_counter() - start < 1.0
+    assert np.abs(path[-1] - [0.0, 0.6, -0.8]).max() <= 1e-10
+
+
+def test_trajectory_keeps_repelling_fixed_point():
+    # without drive the north pole is a fixed point that repels; over a
+    # long enough interval tanh(kappa h) rounds to 1 and the step matrix
+    # annihilates its spinor
+    path = integrate_meanfield([0.0, 0.0, 4.0], 0.0, [0.0, 1.0, 1e3])
+    assert np.array_equal(path, [[0.0, 0.0, 4.0]] * 3)
+
+
+@given(
+    radius=st.one_of(st.just(0.0), st.floats(0.05, 4.0)),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    omega_r=st.floats(0.0, 3.0),
+    span=st.floats(0.1, 50.0),
+    log_grid=st.booleans(),
+)
+@example(radius=1.5, direction=(0.0, 0.0, 1.0), omega_r=1.5, span=50.0, log_grid=False)  # omega_r = r
+@example(radius=0.7, direction=(0.3, -0.5, 0.2), omega_r=0.7, span=40.0, log_grid=True)  # r ~ omega_r
+@example(radius=1.0, direction=(0.4, 0.1, 0.6), omega_r=0.0, span=30.0, log_grid=True)  # no drive
+@example(radius=1.0, direction=(0.0, 0.0, 1.0), omega_r=0.6, span=50.0, log_grid=False)  # north pole
+@example(radius=2.0, direction=(0.0, 0.0, -1.0), omega_r=2.5, span=50.0, log_grid=True)  # south pole
+@example(radius=3.0, direction=(0.0, 0.0, 1.0), omega_r=0.0, span=50.0, log_grid=False)  # repeller
+@example(radius=0.0, direction=(0.0, 0.0, 1.0), omega_r=1.0, span=10.0, log_grid=False)
+@hyp_settings(max_examples=60, deadline=None)
+def test_trajectory_matches_dop853(radius, direction, omega_r, span, log_grid):
+    v = np.array(direction)
+    assume(np.linalg.norm(v) > 1e-3)
+    s0 = radius * v / np.linalg.norm(v)
+    if log_grid:
+        taus = np.concatenate([[0.0], np.geomspace(1e-3, span, 30)])
+    else:
+        taus = np.linspace(0.0, span, 41)
+    path = integrate_meanfield(s0, omega_r, taus)
+    assert path.shape == (len(taus), 3)
+    assert np.abs(path - meanfield_dop853(s0, omega_r, taus)).max() <= 1e-9
+
+
 def test_trajectory_grid_handling():
     s0 = [0.0, 0.0, -1.0]
     single = integrate_meanfield(s0, 0.5, [0.0])
     assert single.shape == (1, 3)
+    assert np.array_equal(single[0], s0)
     with pytest.raises(ValidationError):
         integrate_meanfield(s0, 0.5, [0.0, 2.0, 1.0])

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import scipy.integrate
 
 from dickesim import (
     DEFAULT,
@@ -162,3 +163,19 @@ def finite_difference_jacobian(s, omega_r, step=1e-6):
             2.0 * step
         )
     return out
+
+
+def meanfield_dop853(s0, omega_r, taus):
+    """DOP853 solution of the Bloch equations, the independent check on integrate_meanfield."""
+
+    def rhs(_tau, s):
+        sx, sy, sz = s
+        return [sz * sx, sz * sy - omega_r * sz, omega_r * sy - sx * sx - sy * sy]
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (taus[0], taus[-1]), np.asarray(s0, dtype=float),
+        method="DOP853", t_eval=taus, rtol=1e-13, atol=1e-15,
+    )
+    if not sol.success:
+        raise RuntimeError(f"DOP853 reference failed: {sol.message}")
+    return sol.y.T
