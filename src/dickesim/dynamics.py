@@ -9,6 +9,14 @@ with mean occupation nbar.  In matrix form the generator is
               + gamma_a * (nbar+1)/2 * (2 J- rho J+ - J+ J- rho - rho J+ J-)
 
 Superoperators use column stacking throughout: vec(A X B) = (B^T kron A) vec(X).
+
+Time evolution works in the real gauge rho[a, b] = i^(b - a) Y[a, b].
+There the generator is real and never mixes the real symmetric and the
+real antisymmetric part of Y, so evolve propagates them as two real
+coordinate vectors, with exact matrix exponentials of sizes d(d+1)/2
+and d(d-1)/2 instead of one complex d^2 x d^2 one.  Its work and memory
+are bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and all
+states are checked in one batch.
 """
 
 from __future__ import annotations
@@ -21,13 +29,22 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import CapacityError, ValidationError
-from .linalg import as_complex_matrix, hermiticity_defect, null_vector, require_hermitian
+from .linalg import as_complex_matrix, null_vector, require_hermitian
 from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, ladder_coefficients
 
-# evolve's dense propagator grows as d^6, and steady_state_numeric keeps
-# the same domain; beyond it only the zero-temperature analytic route remains
+# evolve's two real propagators have d(d+1)/2 and d(d-1)/2 rows, so their
+# cost still grows as d^6; steady_state_numeric keeps the same domain, and
+# beyond it only the zero-temperature analytic route remains
 DENSE_DIM_LIMIT = 33
+# evolve's matrix-exponential budget: distinct time steps times the cubed
+# sizes of both real blocks; 30 distinct steps at j = 16, measured at 6.9 s
+# on one BLAS thread (log grid to t = 10, nbar = 0.3, random mixed rho0)
+EXPM_WORK_LIMIT = 1e10
+# evolve's state budget, len(t_grid) * d^2 complex entries: 67 MB of
+# returned states (3851 times at j = 16); with the block coordinates and
+# the batched check the peak is ~3.5 times that, measured with tracemalloc
+STATE_ENTRY_LIMIT = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -203,18 +220,108 @@ def _require_dense(params: ModelParams):
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _real_gauge(two_j):
+    """The generator's two real blocks in the gauge rho[a, b] = i^(b - a) Y[a, b].
+
+    There entry (r, c) of L becomes conj(ph_r) L[r, c] ph_c, exactly
+    real for this model.  The real generator maps real symmetric Y to
+    real symmetric and real antisymmetric to real antisymmetric, so
+    Y = S + i K splits into the upper triangle of S (d(d+1)/2
+    coordinates) and the strict upper triangle of K (d(d-1)/2).  An
+    entry whose row lies in a block's triangle is folded onto the
+    triangle coordinate of its column, with K[c, e] = -K[e, c] in the
+    antisymmetric block; folding only sums real entries.
+
+    Returns (ph, sym, anti): ph is the (d, d) phase i^(b - a), and each
+    block is (n, triangle, take, flat, unit): its size, its (rows,
+    columns) in Y, the generator entries it reads, where each lands in
+    the flattened n x n block, and the unit it is multiplied by before
+    its real part is summed in.  All arrays are read-only.
+    """
+    d = two_j + 1
+    units = np.array([1.0, 1.0j, -1.0, -1.0j])
+    a_minus_b = np.subtract.outer(np.arange(d), np.arange(d))
+    ph = units[-a_minus_b % 4]
+    indptr, indices = _generator_pattern(two_j)[:2]
+    b_r, a_r = np.divmod(indices.astype(np.intp), d)
+    b_c, a_c = np.divmod(np.repeat(np.arange(d * d), np.diff(indptr)), d)
+    phase = units[(a_r - b_r - a_c + b_c) % 4]
+
+    def block(offset, sign):
+        triangle = np.triu_indices(d, offset)
+        n = len(triangle[0])
+        coord = np.zeros((d, d), dtype=np.intp)
+        coord[triangle] = coord[triangle[::-1]] = np.arange(n)
+        take = np.flatnonzero((b_r - a_r >= offset) & (sign[a_c, b_c] != 0))
+        flat = coord[a_r[take], b_r[take]] * n + coord[a_c[take], b_c[take]]
+        return n, triangle, take, flat, phase[take] * sign[a_c[take], b_c[take]]
+
+    sym = block(0, np.ones((d, d)))
+    anti = block(1, -np.sign(a_minus_b).astype(float))
+    for arr in (ph, *sym[1], *sym[2:], *anti[1], *anti[2:]):
+        arr.flags.writeable = False
+    return ph, sym, anti
+
+
+def _step_runs(steps, slack):
+    """[start, stop) ranges of consecutive steps that share one propagator.
+
+    A step joins the current run while it differs from the run's first
+    step by at most slack.
+    """
+    runs = []
+    for k, dt in enumerate(steps.tolist()):
+        if runs and abs(dt - first) <= slack:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1])
+            first = dt
+    return runs
+
+
+def _check_states(states, t_grid, settings: NumericSettings):
+    """validate_density_matrix on a (T, d, d) stack in one vectorised pass.
+
+    The same three invariants and thresholds; the first failing state
+    raises the ValidationError validate_density_matrix raises for it.
+    """
+    defect = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    trace_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    passed = (defect <= settings.hermiticity_tol) & (trace_err <= settings.trace_tol)
+    first_bad = len(states) if passed.all() else int(np.argmin(passed))
+    lowest = np.linalg.eigvalsh(states[:first_bad])[:, 0]
+    negative = np.flatnonzero(lowest < settings.density_eig_floor)
+    if negative.size:
+        k = negative[0]
+        require_eig_floor(float(lowest[k]), settings, f"state at t={t_grid[k]:g}")
+    if first_bad < len(states):
+        name = f"state at t={t_grid[first_bad]:g}"
+        check_hermitian_unit_trace(states[first_bad], settings, name)
+
+
 def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAULT) -> Trajectory:
     """Propagate the master equation exactly over t_grid.
 
-    The generator L is built once and each state follows from the
-    previous one as vec(rho) <- expm(L * dt) vec(rho) (scaling and
-    squaring, Al-Mohy & Higham 2009).  Steps that differ only by the
-    rounding of np.linspace share one propagator, so a uniform grid
-    costs one matrix exponential.  Each state is re-hermitized and
-    checked against the density-matrix invariants.
+    Works in the real gauge rho = ph * (S + i K), ph[a, b] = i^(b - a),
+    where the generator is real and keeps the real symmetric S and the
+    real antisymmetric K apart (see _real_gauge).  So the state moves
+    as two coordinate vectors, the upper triangle of S and the strict
+    upper triangle of K, each stepped with the exact propagator
+    expm(L_block * dt) (scaling and squaring, Al-Mohy & Higham 2009)
+    of a real block of size d(d+1)/2 or d(d-1)/2.  K stays zero when it
+    starts at zero, as it does for Dicke projectors, and its block is
+    then skipped.  Steps that differ only by the rounding of
+    np.linspace share one propagator, so a uniform grid costs one
+    matrix exponential per block.  The states are rebuilt together,
+    Hermitian by construction, and checked against the density-matrix
+    invariants in one batch.
 
     Shares the domain of steady_state_numeric: raises CapacityError for
-    dimensions above DENSE_DIM_LIMIT.
+    dimensions above DENSE_DIM_LIMIT.  Before any propagator is built it
+    also raises CapacityError when the distinct steps times the cubed
+    block sizes exceed EXPM_WORK_LIMIT, or len(t_grid) * d^2 exceeds
+    STATE_ENTRY_LIMIT.
     """
     p = params
     t_grid = np.asarray(t_grid, dtype=float)
@@ -222,7 +329,8 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
         raise ValidationError("t_grid must be a 1-D array of at least one time")
     if t_grid[0] != 0.0:
         raise ValidationError(f"t_grid must start at 0, got {t_grid[0]!r}")
-    if len(t_grid) > 1 and not np.all(np.diff(t_grid) > 0):
+    steps = np.diff(t_grid)
+    if not np.all(steps > 0):
         raise ValidationError("t_grid must be strictly ascending")
     _require_dense(p)
     rho0 = validate_density_matrix(rho0, settings, "rho0")
@@ -231,22 +339,45 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
         raise ValidationError(
             f"rho0 dimension {rho0.shape[0]} does not match j = {p.j.j} (dim {d})"
         )
-
-    L = build_liouvillian(p).toarray()
+    n_times = len(t_grid)
+    if n_times * d * d > STATE_ENTRY_LIMIT:
+        raise CapacityError(
+            f"{n_times} times of {d} x {d} states exceed evolve's limit of "
+            f"{STATE_ENTRY_LIMIT} state entries"
+        )
     # np.linspace steps differ from each other by about one ulp of the end time
-    slack = 4.0 * np.spacing(t_grid[-1])
-    step = propagator = None
-    rho = rho0.copy()
-    states = [rho]
-    for dt in np.diff(t_grid):
-        if propagator is None or abs(dt - step) > slack:
-            step, propagator = dt, scipy.linalg.expm(L * dt)
-        rho = unvec(propagator @ vec(rho), d)
-        rho = 0.5 * (rho + rho.conj().T)
-        states.append(rho)
+    runs = _step_runs(steps, 4.0 * np.spacing(t_grid[-1]))
+    ph, sym, anti = _real_gauge(p.j.two_j)
+    work = len(runs) * (sym[0] ** 3 + anti[0] ** 3)
+    if work > EXPM_WORK_LIMIT:
+        raise CapacityError(
+            f"{len(runs)} distinct time steps at j = {p.j.j} cost {work:.2e} "
+            f"(distinct steps x cubed block sizes), over evolve's limit "
+            f"{EXPM_WORK_LIMIT:.0e}; use a uniform grid or fewer distinct steps"
+        )
 
-    for k, rho in enumerate(states[1:], start=1):
-        validate_density_matrix(rho, settings, name=f"state at t={t_grid[k]:g}")
+    L = build_liouvillian(p)
+    y0 = rho0 * ph.conj()
+    states = np.zeros((n_times, d, d), dtype=complex)
+    for (n, triangle, take, flat, unit), part, y, sign in (
+        (sym, states.real, y0.real, 1.0),
+        (anti, states.imag, y0.imag, -1.0),
+    ):
+        x0 = y[triangle]
+        if not x0.any():
+            continue  # the blocks never mix, so a zero block stays zero
+        x = np.empty((n_times, n))
+        x[0] = x0
+        gen = np.bincount(flat, weights=(unit * L.data[take]).real, minlength=n * n)
+        gen = gen.reshape(n, n)
+        for start, stop in runs:
+            propagator = scipy.linalg.expm(gen * steps[start])
+            for k in range(start, stop):
+                np.matmul(propagator, x[k], out=x[k + 1])
+        part[(slice(None), *triangle)] = x
+        part[(slice(None), *triangle[::-1])] = sign * x
+    states *= ph
+    _check_states(states, t_grid, settings)
     return Trajectory(times=t_grid, states=tuple(states))
 
 

@@ -142,6 +142,25 @@ def test_usage_errors_exit_2(args, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fig2", "--gamma-grid", "log:0.001:1000:1000000000000"],
+        ["fig3", "--omega-r-grid", "0.05:3:1000000000000"],
+        ["fig1", "--gamma-grid", "log:0.01:100:20000", "--nbar-grid", "0:3:20000"],
+        ["fig3", "--j-list", ",".join(["1"] * 65)],
+        ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "1", "--steps", "1000000000000"],
+    ],
+)
+def test_work_bounds_exit_2_before_allocating(args, tmp_path, capsys):
+    # a grid of 10^12 points would be an 8 TB allocation failing with
+    # MemoryError (exit 1), so exit 2 shows the bound was checked first
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--output", str(out)]) == 2
+    assert "over the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_paths(capsys):
     assert run_cli(["--help"]) == 0
     assert "subcommands" in capsys.readouterr().out

@@ -281,6 +281,60 @@ def test_evolve_uniform_grid_builds_one_propagator(monkeypatch):
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("j", [0, 0.5, 1, 1.5, 4, 8])
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 3.0, 11),
+    np.concatenate([[0.0], np.logspace(-3.0, 1.0, 9)]),
+])
+def test_evolve_complex_states_match_propagator(j, times):
+    # random complex states have an antisymmetric part in the real gauge
+    # (none at j = 0), so both real blocks are propagated
+    d = int(2 * j) + 1
+    p = ModelParams(j=j, omega=1.3, gamma_a=0.6, nbar=0.7)
+    rho0 = random_density(np.random.default_rng(d), d)
+    traj = evolve(rho0, p, times)
+    for state, exact in zip(traj.states, _propagator_states(rho0, p, times)):
+        assert np.array_equal(state, state.conj().T)
+        assert np.abs(state - exact).max() < 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 4, 16])
+def test_generator_is_real_in_the_gauge(j):
+    # rho[a, b] = i^(b - a) Y[a, b] turns every entry of the generator real
+    p = ModelParams(j=j, omega=0.9, gamma_a=1.7, nbar=0.4)
+    d = p.j.dim
+    a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    ph = vec(np.array([1, 1j, -1, -1j])[(b - a) % 4])
+    gauged = ph.conj()[:, None] * build_liouvillian(p).toarray() * ph[None, :]
+    assert np.abs(gauged.imag).max() == 0.0
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda expm, a: 2.0 * expm(a), r"state at t=0\.5 trace"),
+    # backward in time: trace and Hermiticity survive, positivity does not
+    (lambda expm, a: expm(-a), r"state at t=0\.5 not positive"),
+])
+def test_evolve_corrupted_propagator_fails_the_state_check(monkeypatch, corrupt, message):
+    real_expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: corrupt(real_expm, a))
+    p = ModelParams(j=1, omega=1.0, gamma_a=1.0, nbar=0.5)
+    with pytest.raises(ValidationError, match=message):
+        evolve(dicke_projector(1, -1), p, np.linspace(0.0, 1.0, 3))
+
+
+def test_evolve_work_bound_raises_before_any_propagator(monkeypatch):
+    def no_expm(a):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", no_expm)
+    p = ModelParams(j=16, omega=1.0, gamma_a=1.0, nbar=0.3)
+    rho0 = dicke_projector(16, 16)
+    with pytest.raises(CapacityError, match="distinct time steps"):
+        evolve(rho0, p, np.concatenate([[0.0], np.logspace(-2.0, 1.0, 100)]))
+    with pytest.raises(CapacityError, match="state entries"):
+        evolve(rho0, p, np.linspace(0.0, 1.0, 10_000))
+
+
 def test_evolve_tight_working_tolerance_returns():
     # a tolerance below double-precision reach must not stall evolution
     p = ModelParams(j=1, omega=1.0, gamma_a=1.0, nbar=0.5)

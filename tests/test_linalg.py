@@ -168,3 +168,18 @@ def test_null_vector_kernel_orthogonal_to_uniform_border(extra):
     expected[:2] = [1.0, -1.0]
     x = null_vector(a)
     assert _phase_free_gap(x, expected / np.sqrt(2.0)) < 1e-14
+
+
+def test_null_vector_residual_reaches_rounding_on_badly_scaled_matrix():
+    # entries 1.2e-7 beside entries of size 1..4, third row (1 + 1e-5) times
+    # the first: the left kernel is almost orthogonal to the uniform border,
+    # and that bordered solve alone stops at a residual of ~5e-12
+    a = np.array([
+        [3.0, 2.0, 1.2e-7],
+        [1.2e-7, 1.0, 4.0],
+        [3.0 * (1 + 1e-5), 2.0 * (1 + 1e-5), 1.2e-7 * (1 + 1e-5)],
+    ])
+    x = null_vector(a)
+    n = a.shape[0]
+    assert np.linalg.norm(a @ x) <= 100 * n * np.finfo(float).eps * np.linalg.norm(a)
+    assert _phase_free_gap(x, null_vector_svd(a)) < 1e-14
