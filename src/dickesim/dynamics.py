@@ -228,16 +228,18 @@ def _real_gauge(two_j):
     real for this model.  The real generator maps real symmetric Y to
     real symmetric and real antisymmetric to real antisymmetric, so
     Y = S + i K splits into the upper triangle of S (d(d+1)/2
-    coordinates) and the strict upper triangle of K (d(d-1)/2).  An
-    entry whose row lies in a block's triangle is folded onto the
-    triangle coordinate of its column, with K[c, e] = -K[e, c] in the
-    antisymmetric block; folding only sums real entries.
+    coordinates) and the strict upper triangle of K (d(d-1)/2).  Row
+    (a, b) reads X at (a, b), (a +- 1, b), (a, b +- 1) and
+    (a +- 1, b +- 1).  Diagonal rows read just below the diagonal, which
+    the symmetric block folds onto S[c, e] = S[e, c]; rows above the
+    diagonal read nothing below it, so the antisymmetric block needs no
+    fold, and its diagonal columns drop out, K being 0 there.
 
     Returns (ph, sym, anti): ph is the (d, d) phase i^(b - a), and each
     block is (n, triangle, take, flat, unit): its size, its (rows,
     columns) in Y, the generator entries it reads, where each lands in
     the flattened n x n block, and the unit it is multiplied by before
-    its real part is summed in.  All arrays are read-only.
+    its real part is taken.  All arrays are read-only.
     """
     d = two_j + 1
     units = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -248,17 +250,16 @@ def _real_gauge(two_j):
     b_c, a_c = np.divmod(np.repeat(np.arange(d * d), np.diff(indptr)), d)
     phase = units[(a_r - b_r - a_c + b_c) % 4]
 
-    def block(offset, sign):
+    def block(offset):
         triangle = np.triu_indices(d, offset)
         n = len(triangle[0])
-        coord = np.zeros((d, d), dtype=np.intp)
+        coord = np.full((d, d), -1)
         coord[triangle] = coord[triangle[::-1]] = np.arange(n)
-        take = np.flatnonzero((b_r - a_r >= offset) & (sign[a_c, b_c] != 0))
-        flat = coord[a_r[take], b_r[take]] * n + coord[a_c[take], b_c[take]]
-        return n, triangle, take, flat, phase[take] * sign[a_c[take], b_c[take]]
+        cols = coord[a_c, b_c]
+        take = np.flatnonzero((b_r - a_r >= offset) & (cols >= 0))
+        return n, triangle, take, coord[a_r, b_r][take] * n + cols[take], phase[take]
 
-    sym = block(0, np.ones((d, d)))
-    anti = block(1, -np.sign(a_minus_b).astype(float))
+    sym, anti = block(0), block(1)
     for arr in (ph, *sym[1], *sym[2:], *anti[1], *anti[2:]):
         arr.flags.writeable = False
     return ph, sym, anti

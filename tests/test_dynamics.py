@@ -309,10 +309,22 @@ def test_generator_is_real_in_the_gauge(j):
     assert np.abs(gauged.imag).max() == 0.0
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 7, 32])
+def test_generator_rows_above_diagonal_read_no_entry_below(two_j):
+    # evolve's antisymmetric block relies on this: it folds no column
+    # onto the strict upper triangle with the sign K[c, e] = -K[e, c]
+    lio = build_liouvillian(ModelParams(j=two_j / 2.0, omega=1.0, gamma_a=1.0, nbar=0.5))
+    d = two_j + 1
+    rows, cols = lio.nonzero()
+    above = rows % d < rows // d
+    assert np.all(cols[above] % d <= cols[above] // d)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda expm, a: 2.0 * expm(a), r"state at t=0\.5 trace"),
     # backward in time: trace and Hermiticity survive, positivity does not
     (lambda expm, a: expm(-a), r"state at t=0\.5 not positive"),
+    (lambda expm, a: np.full_like(a, np.nan), r"state at t=0\.5 contains non-finite"),
 ])
 def test_evolve_corrupted_propagator_fails_the_state_check(monkeypatch, corrupt, message):
     real_expm = scipy.linalg.expm
