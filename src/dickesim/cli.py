@@ -32,10 +32,14 @@ class UsageError(Exception):
 
 # Work bounds, checked before anything is allocated.  Measured on one BLAS
 # thread, a scan row takes 0.16 ms (fig2) to 5.9 ms (fig3 at j = 64), so a
-# scan stays under ~2 min; an evolve row takes 0.17 ms at j = 1.
+# scan stays under ~2 min at j <= 64; an evolve row takes 0.17 ms at j = 1.
+# A fig3 row (analytic steady state, pair state, concurrence) at j = 128
+# takes 25 ms and peaks at 4.4 MB; at j = 256 0.13 s and 17 MB, at
+# j = 1024 6.4 s and 269 MB.
 SCAN_ROW_LIMIT = 20_000      # rows of one scan, and points of each grid
 EVOLVE_STEPS_LIMIT = 100_000  # evolve --steps
 J_LIST_LIMIT = 64            # entries of fig3 --j-list
+J_VALUE_LIMIT = 128          # the spin value of steady --j and of each fig3 --j-list entry
 
 
 # ---------------------------------------------------------------- options
@@ -71,7 +75,7 @@ GLOBAL_OPTIONS = [
 
 SUBCOMMANDS = {
     "steady": [
-        ("j", float, REQUIRED, "spin quantum number (half-integer)"),
+        ("j", float, REQUIRED, "spin quantum number (half-integer, <= 128; numeric <= 64)"),
         ("gamma", float, None, "damping-to-drive ratio gamma_a/omega (sets omega=1)"),
         ("omega", float, None, "drive strength (alternative to --gamma)"),
         ("gamma-a", float, None, "decay rate (alternative to --gamma)"),
@@ -95,7 +99,7 @@ SUBCOMMANDS = {
         ("gamma-grid", str, "log:0.001:1000:121", "gamma grid spec"),
     ],
     "fig3": [
-        ("j-list", str, "1,4,16,64", "comma-separated spin values (each >= 1)"),
+        ("j-list", str, "1,4,16,64", "comma-separated spin values (each 1 <= j <= 128)"),
         ("omega-r-grid", str, "0.05:3:60", "scaled-drive grid spec"),
     ],
     "semiclassical": [
@@ -231,6 +235,12 @@ def parse_grid(spec):
     return np.linspace(start, stop, count)
 
 
+def _require_spin(spin):
+    if spin.j > J_VALUE_LIMIT:
+        raise UsageError(f"j = {spin.j:g} is over the limit of {J_VALUE_LIMIT}")
+    return spin
+
+
 def _parse_j_list(text):
     items = str(text).split(",")
     _require_count(len(items), J_LIST_LIMIT, "j list length")
@@ -240,9 +250,10 @@ def _parse_j_list(text):
         if not item:
             continue
         try:
-            out.append(SpinQuantum.from_j(float(item)))
+            spin = SpinQuantum.from_j(float(item))
         except (ValueError, DickeSimError):
             raise UsageError(f"bad j value {item!r} in j list")
+        out.append(_require_spin(spin))
     if not out:
         raise UsageError("j list is empty")
     return out
@@ -337,7 +348,7 @@ def _semiclassical_row(task):
 
 def _cmd_steady(options):
     settings = _settings_from(options)
-    spin = SpinQuantum.from_j(options["j"])
+    spin = _require_spin(SpinQuantum.from_j(options["j"]))
     method = options["method"]
     if method not in ("numeric", "analytic"):
         raise UsageError(f"unknown method {options['method']!r}")

@@ -15,8 +15,9 @@ There the generator is real and never mixes the real symmetric and the
 real antisymmetric part of Y, so evolve propagates them as two real
 coordinate vectors, with exact matrix exponentials of sizes d(d+1)/2
 and d(d-1)/2 instead of one complex d^2 x d^2 one.  Its work and memory
-are bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and all
-states are checked in one batch.
+are bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the
+states are checked in bounded chunks.  Steady states are solved in the
+same gauge, as the kernel of the real d^2 x d^2 generator.
 """
 
 from __future__ import annotations
@@ -34,17 +35,23 @@ from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, ladder_coefficients
 
 # evolve's two real propagators have d(d+1)/2 and d(d-1)/2 rows, so their
-# cost still grows as d^6; steady_state_numeric keeps the same domain, and
-# beyond it only the zero-temperature analytic route remains
+# cost grows as d^6; a real expm of size 2145 (j = 32) takes 5.3 s
 DENSE_DIM_LIMIT = 33
+# steady_state_numeric factors one sparse real d^2 x d^2 matrix; at j = 64
+# a solve takes 40-105 ms on one core, and beyond it only the
+# zero-temperature analytic route remains
+STEADY_DIM_LIMIT = 129
 # evolve's matrix-exponential budget: distinct time steps times the cubed
 # sizes of both real blocks; 30 distinct steps at j = 16, measured at 6.9 s
 # on one BLAS thread (log grid to t = 10, nbar = 0.3, random mixed rho0)
 EXPM_WORK_LIMIT = 1e10
 # evolve's state budget, len(t_grid) * d^2 complex entries: 67 MB of
 # returned states (3851 times at j = 16); with the block coordinates and
-# the batched check the peak is ~3.5 times that, measured with tracemalloc
+# the chunked check the peak is ~1.6 times that, measured with tracemalloc
+# (at j = 16 the propagators' workspace adds a fixed ~27 MB)
 STATE_ENTRY_LIMIT = 2 ** 22
+# _check_states checks this many state entries at a time (1 MB complex)
+CHECK_CHUNK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -211,29 +218,47 @@ def build_liouvillian(params: ModelParams) -> sp.csc_array:
 
 
 def _require_dense(params: ModelParams):
-    """Both generator routes stop at the same size."""
+    """evolve's size limit; steady_state_numeric has its own, STEADY_DIM_LIMIT."""
     d = params.j.dim
     if d > DENSE_DIM_LIMIT:
         raise CapacityError(
-            f"dimension {d} exceeds the numeric routes' limit {DENSE_DIM_LIMIT} (j <= 16); "
-            "zero-temperature steady states beyond it: analytic.steady_state_analytic"
+            f"dimension {d} exceeds evolve's limit {DENSE_DIM_LIMIT} (j <= 16)"
         )
 
 
 @functools.lru_cache(maxsize=64)
-def _real_gauge(two_j):
-    """The generator's two real blocks in the gauge rho[a, b] = i^(b - a) Y[a, b].
+def _gauge_phase(two_j):
+    """The gauge rho[a, b] = i^(b - a) Y[a, b] and its phase on each generator entry.
 
-    There entry (r, c) of L becomes conj(ph_r) L[r, c] ph_c, exactly
-    real for this model.  The real generator maps real symmetric Y to
-    real symmetric and real antisymmetric to real antisymmetric, so
-    Y = S + i K splits into the upper triangle of S (d(d+1)/2
-    coordinates) and the strict upper triangle of K (d(d-1)/2).  Row
-    (a, b) reads X at (a, b), (a +- 1, b), (a, b +- 1) and
-    (a +- 1, b +- 1).  Diagonal rows read just below the diagonal, which
-    the symmetric block folds onto S[c, e] = S[e, c]; rows above the
-    diagonal read nothing below it, so the antisymmetric block needs no
-    fold, and its diagonal columns drop out, K being 0 there.
+    In the gauge, entry (r, c) of L becomes conj(ph_r) L[r, c] ph_c,
+    exactly real for this model: the drive entries are imaginary and
+    change a - b by one, the dissipator entries are real and keep it.
+    Returns (ph, phase): the (d, d) phase i^(b - a), and conj(ph_r) ph_c
+    for each entry of _generator_pattern's CSC structure, in its order.
+    Both are read-only.
+    """
+    d = two_j + 1
+    ph = np.array([1.0, 1.0j, -1.0, -1.0j])[-np.subtract.outer(np.arange(d), np.arange(d)) % 4]
+    indptr, indices = _generator_pattern(two_j)[:2]
+    flat = ph.ravel(order="F")  # products of units are exact
+    phase = flat.conj()[indices] * flat[np.repeat(np.arange(d * d), np.diff(indptr))]
+    ph.flags.writeable = phase.flags.writeable = False
+    return ph, phase
+
+
+@functools.lru_cache(maxsize=64)
+def _real_gauge(two_j):
+    """The generator's two real blocks in the gauge of _gauge_phase.
+
+    The real generator maps real symmetric Y to real symmetric and real
+    antisymmetric to real antisymmetric, so Y = S + i K splits into the
+    upper triangle of S (d(d+1)/2 coordinates) and the strict upper
+    triangle of K (d(d-1)/2).  Row (a, b) reads X at (a, b),
+    (a +- 1, b), (a, b +- 1) and (a +- 1, b +- 1).  Diagonal rows read
+    just below the diagonal, which the symmetric block folds onto
+    S[c, e] = S[e, c]; rows above the diagonal read nothing below it, so
+    the antisymmetric block needs no fold, and its diagonal columns drop
+    out, K being 0 there.
 
     Returns (ph, sym, anti): ph is the (d, d) phase i^(b - a), and each
     block is (n, triangle, take, flat, unit): its size, its (rows,
@@ -242,13 +267,10 @@ def _real_gauge(two_j):
     its real part is taken.  All arrays are read-only.
     """
     d = two_j + 1
-    units = np.array([1.0, 1.0j, -1.0, -1.0j])
-    a_minus_b = np.subtract.outer(np.arange(d), np.arange(d))
-    ph = units[-a_minus_b % 4]
+    ph, phase = _gauge_phase(two_j)
     indptr, indices = _generator_pattern(two_j)[:2]
     b_r, a_r = np.divmod(indices.astype(np.intp), d)
     b_c, a_c = np.divmod(np.repeat(np.arange(d * d), np.diff(indptr)), d)
-    phase = units[(a_r - b_r - a_c + b_c) % 4]
 
     def block(offset):
         triangle = np.triu_indices(d, offset)
@@ -260,7 +282,7 @@ def _real_gauge(two_j):
         return n, triangle, take, coord[a_r, b_r][take] * n + cols[take], phase[take]
 
     sym, anti = block(0), block(1)
-    for arr in (ph, *sym[1], *sym[2:], *anti[1], *anti[2:]):
+    for arr in (*sym[1], *sym[2:], *anti[1], *anti[2:]):
         arr.flags.writeable = False
     return ph, sym, anti
 
@@ -282,23 +304,28 @@ def _step_runs(steps, slack):
 
 
 def _check_states(states, t_grid, settings: NumericSettings):
-    """validate_density_matrix on a (T, d, d) stack in one vectorised pass.
+    """validate_density_matrix on a (T, d, d) stack, vectorised over chunks of states.
 
     The same three invariants and thresholds; the first failing state
     raises the ValidationError validate_density_matrix raises for it.
+    Chunks of CHECK_CHUNK_ENTRIES entries bound the temporaries.
     """
-    defect = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    trace_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    passed = (defect <= settings.hermiticity_tol) & (trace_err <= settings.trace_tol)
-    first_bad = len(states) if passed.all() else int(np.argmin(passed))
-    lowest = np.linalg.eigvalsh(states[:first_bad])[:, 0]
-    negative = np.flatnonzero(lowest < settings.density_eig_floor)
-    if negative.size:
-        k = negative[0]
-        require_eig_floor(float(lowest[k]), settings, f"state at t={t_grid[k]:g}")
-    if first_bad < len(states):
-        name = f"state at t={t_grid[first_bad]:g}"
-        check_hermitian_unit_trace(states[first_bad], settings, name)
+    d = states.shape[1]
+    size = max(1, CHECK_CHUNK_ENTRIES // (d * d))
+    for start in range(0, len(states), size):
+        chunk = states[start:start + size]
+        defect = np.abs(chunk - chunk.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace_err = np.abs(np.trace(chunk, axis1=1, axis2=2) - 1.0)
+        passed = (defect <= settings.hermiticity_tol) & (trace_err <= settings.trace_tol)
+        first_bad = len(chunk) if passed.all() else int(np.argmin(passed))
+        lowest = np.linalg.eigvalsh(chunk[:first_bad])[:, 0]
+        negative = np.flatnonzero(lowest < settings.density_eig_floor)
+        if negative.size:
+            k = negative[0]
+            require_eig_floor(float(lowest[k]), settings, f"state at t={t_grid[start + k]:g}")
+        if first_bad < len(chunk):
+            name = f"state at t={t_grid[start + first_bad]:g}"
+            check_hermitian_unit_trace(chunk[first_bad], settings, name)
 
 
 def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAULT) -> Trajectory:
@@ -316,13 +343,12 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
     np.linspace share one propagator, so a uniform grid costs one
     matrix exponential per block.  The states are rebuilt together,
     Hermitian by construction, and checked against the density-matrix
-    invariants in one batch.
+    invariants in chunks (_check_states).
 
-    Shares the domain of steady_state_numeric: raises CapacityError for
-    dimensions above DENSE_DIM_LIMIT.  Before any propagator is built it
-    also raises CapacityError when the distinct steps times the cubed
-    block sizes exceed EXPM_WORK_LIMIT, or len(t_grid) * d^2 exceeds
-    STATE_ENTRY_LIMIT.
+    Raises CapacityError for dimensions above DENSE_DIM_LIMIT.  Before
+    any propagator is built it also raises CapacityError when the
+    distinct steps times the cubed block sizes exceed EXPM_WORK_LIMIT,
+    or len(t_grid) * d^2 exceeds STATE_ENTRY_LIMIT.
     """
     p = params
     t_grid = np.asarray(t_grid, dtype=float)
@@ -383,12 +409,21 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
 
 
 def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAULT) -> np.ndarray:
-    """Steady state as the one-dimensional null space of the sparse generator.
+    """Steady state as the one-dimensional null space of the generator.
 
     Valid whenever the stationary state is unique, which for this model
     means omega > 0, or omega = 0 with nbar = 0 (pure decay funnels to
     the ground level).  The undriven thermal case has no drive to break
     the ladder degeneracy structure and is rejected up front.
+
+    Solves in the gauge of _gauge_phase, where the d^2 x d^2 generator
+    G is real, with one real LU of G bordered by the trace functional
+    vec(I) (linalg.null_vector).  vec(I) is the exact left kernel of
+    every trace-preserving generator, and its overlap with the kernel is
+    the steady state's trace, so the bordered matrix is well conditioned
+    whenever the steady state is unique.  rho = ph * sym(Y) / tr(Y) is
+    Hermitian by construction.  Raises CapacityError above
+    STEADY_DIM_LIMIT.
     """
     p = params
     if p.omega == 0.0 and p.nbar > 0.0:
@@ -397,15 +432,17 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
         )
     if p.gamma_a == 0.0:
         raise ValidationError("no dissipation (gamma_a = 0): no relaxation to a steady state")
-    _require_dense(p)
     d = p.j.dim
-    L = build_liouvillian(p)
-    x = null_vector(L, settings)
-    rho = unvec(x, d)
-    tr = complex(np.trace(rho))
-    if abs(tr) < 1e-12:
-        # null vector orthogonal to identity cannot be a state
-        raise ValidationError("null vector has (numerically) zero trace; not a state")
-    rho = rho / tr
-    rho = 0.5 * (rho + rho.conj().T)
+    if d > STEADY_DIM_LIMIT:
+        raise CapacityError(
+            f"dimension {d} exceeds steady_state_numeric's limit {STEADY_DIM_LIMIT} "
+            "(j <= 64); zero-temperature steady states beyond it: "
+            "analytic.steady_state_analytic"
+        )
+    ph, phase = _gauge_phase(p.j.two_j)
+    G = build_liouvillian(p)
+    G.data = (phase * G.data).real  # conj(ph_r) L[r, c] ph_c, on L's own structure
+    # bordered by vec(I), d ones on the diagonal coordinates
+    Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
+    rho = ph * ((Y + Y.T) / (2.0 * np.trace(Y)))
     return validate_density_matrix(rho, settings, "steady state")

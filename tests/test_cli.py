@@ -161,6 +161,30 @@ def test_work_bounds_exit_2_before_allocating(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fig3", "--j-list", "100000"],
+        ["fig3", "--j-list", "1,128.5"],
+        ["steady", "--j", "100000", "--gamma", "1", "--method", "analytic"],
+        ["steady", "--j", "128.5", "--gamma", "1"],
+    ],
+)
+def test_spin_value_bound_exits_2_before_allocating(args, tmp_path, capsys):
+    # fig3 --j-list 100000 would ask for a 200001 x 200001 complex matrix
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--output", str(out)]) == 2
+    assert "over the limit of 128" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spin_value_bound_admits_the_limit(tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_cli(["fig3", "--j-list", "128", "--omega-r-grid", "0.9:0.9:1",
+                    "--output", str(out)]) == 0
+    assert read_csv(out)[1][0][0] == 128.0
+
+
 def test_help_paths(capsys):
     assert run_cli(["--help"]) == 0
     assert "subcommands" in capsys.readouterr().out

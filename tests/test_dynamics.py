@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import example, given, settings as hsettings, strategies as st
 
 from dickesim import (
@@ -22,7 +25,7 @@ from dickesim import (
     validate_density_matrix,
     vec,
 )
-from dickesim import linalg
+from dickesim import dynamics, linalg
 from dickesim.settings import DEFAULT
 from util import (
     liouvillian_kron,
@@ -357,6 +360,37 @@ def test_evolve_tight_working_tolerance_returns():
     assert np.abs(traj.states[-1] - exact).max() < 1e-12
 
 
+def test_evolve_peak_memory_stays_near_its_output():
+    # the state check runs over chunks of states, so its temporaries do not
+    # scale with the number of times; a whole-stack check peaks at 3.3x
+    p = ModelParams(j=8, omega=1.0, gamma_a=1.0, nbar=0.3)
+    rho0 = random_density(np.random.default_rng(8), p.j.dim)
+    times = np.linspace(0.0, 5.0, 2000)
+    evolve(rho0, p, times[:3])  # fill the caches outside the measurement
+    tracemalloc.start()
+    try:
+        traj = evolve(rho0, p, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * np.asarray(traj.states).nbytes
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda expm, a: 2.0 * expm(a), r"state at t=0\.5 trace"),
+    (lambda expm, a: expm(-a), r"state at t=0\.5 not positive"),
+])
+def test_evolve_chunked_check_names_the_first_bad_state(monkeypatch, corrupt, message):
+    # chunks of one state: the first corrupted state, at t = 0.5, opens the
+    # second chunk, and the check still names it
+    monkeypatch.setattr(dynamics, "CHECK_CHUNK_ENTRIES", 9)
+    real_expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: corrupt(real_expm, a))
+    p = ModelParams(j=1, omega=1.0, gamma_a=1.0, nbar=0.5)
+    with pytest.raises(ValidationError, match=message):
+        evolve(dicke_projector(1, -1), p, np.linspace(0.0, 1.0, 3))
+
+
 def test_evolve_capacity_limit():
     with pytest.raises(CapacityError):
         evolve(dicke_projector(16.5, 16.5), ModelParams(j=16.5, omega=1.0, gamma_a=1.0), [0.0, 0.1])
@@ -388,7 +422,7 @@ def test_steady_rejects_no_damping():
 
 def test_steady_capacity_limit():
     with pytest.raises(CapacityError, match="analytic"):
-        steady_state_numeric(ModelParams(j=17, omega=1.0, gamma_a=1.0))
+        steady_state_numeric(ModelParams(j=64.5, omega=1.0, gamma_a=1.0))
 
 
 @given(
@@ -411,10 +445,17 @@ def test_steady_matches_analytic_at_zero_temperature(j, gamma_a):
     assert trace_distance(numeric, steady_state_analytic(j, gamma_a)) < 1e-12
 
 
-def test_steady_rebordering_near_pure_state(monkeypatch):
-    # at j = 16, gamma_a = 0.0794 the nearly pure state is almost orthogonal to
-    # the uniform border: that bordered matrix is ill-conditioned, and the
-    # solve must move on to other borders instead of calling the kernel degenerate
+@pytest.mark.parametrize("j", [32, 64])
+def test_steady_matches_analytic_beyond_evolve_limit(j):
+    gamma_a = 1.0 / (0.9 * j)  # omega_r = 0.9, just below the bifurcation
+    numeric = steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=gamma_a))
+    assert trace_distance(numeric, steady_state_analytic(j, gamma_a)) < 1e-12
+
+
+def test_steady_near_pure_state_one_bordered_solve(monkeypatch):
+    # at j = 16, gamma_a = 0.0794 the state is nearly pure, and its
+    # coherences cancel in the sum of all entries; the trace border does not
+    # see that cancellation, so one well-conditioned solve suffices
     kappas = []
     real = linalg._bordered_solve
 
@@ -425,8 +466,46 @@ def test_steady_rebordering_near_pure_state(monkeypatch):
 
     monkeypatch.setattr(linalg, "_bordered_solve", recording)
     steady_state_numeric(ModelParams(j=16, omega=1.0, gamma_a=0.0794))
-    assert len(kappas) >= 2 and kappas[0] * DEFAULT.null_gap_rtol > 1.0
-    assert kappas[-1] * DEFAULT.null_gap_rtol <= 1.0
+    assert len(kappas) == 1 and kappas[0] * DEFAULT.null_gap_rtol <= 1.0
+
+
+@pytest.mark.parametrize("j", [1, 6.5, 7, 16])  # dense and SuperLU factorisation
+def test_steady_factors_once(monkeypatch, j):
+    factored = []
+    real_splu = scipy.sparse.linalg.splu
+    real_lapack = scipy.linalg.get_lapack_funcs
+
+    def splu(*args, **kwargs):
+        factored.append("splu")
+        return real_splu(*args, **kwargs)
+
+    def get_lapack_funcs(names, arrays):
+        funcs = real_lapack(names, arrays)
+
+        def getrf(*args, **kwargs):
+            factored.append("getrf")
+            return funcs[0](*args, **kwargs)
+
+        return (getrf, *funcs[1:]) if names[0] == "getrf" else funcs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=0.5, nbar=0.3))
+    assert factored == ["getrf" if j <= 6.5 else "splu"]
+
+
+def test_gauge_phase_makes_generator_entries_real():
+    # the phase cached per entry is the gauge the steady route and evolve share
+    p = ModelParams(j=4, omega=0.9, gamma_a=1.7, nbar=0.4)
+    d = p.j.dim
+    L = build_liouvillian(p)
+    ph, phase = dynamics._gauge_phase(p.j.two_j)
+    gauged = vec(ph).conj()[:, None] * L.toarray() * vec(ph)[None, :]
+    entries = sp.csc_array((phase * L.data, L.indices, L.indptr), shape=L.shape)
+    assert np.array_equal(entries.toarray(), gauged)
+    assert np.abs(gauged.imag).max() == 0.0
+    # the trace functional vec(I) is the generator's exact left kernel there
+    assert np.abs(vec(np.eye(d)).real @ gauged.real).max() < 1e-14
 
 
 def test_steady_thermal_long_time_oracle():

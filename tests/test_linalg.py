@@ -35,37 +35,37 @@ def test_eig_rejects_nonhermitian():
 
 def test_eig_rejects_nonsquare():
     with pytest.raises(ValidationError, match="square"):
-        null_vector(np.zeros((2, 3)))
+        null_vector(np.zeros((2, 3)), np.ones(2))
 
 
 def test_eig_rejects_nonfinite():
     with pytest.raises(ValidationError, match="non-finite"):
-        null_vector(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        null_vector(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
 
 
 # ---------------------------------------------------------------- null_vector
 
 def test_null_vector_diagonal():
-    x = null_vector(np.diag([0.0, 1.0, 2.0]))
+    x = null_vector(np.diag([0.0, 1.0, 2.0]), np.ones(3))
     assert np.abs(np.abs(x[0]) - 1.0) < 1e-12
     assert np.abs(x[1:]).max() < 1e-12
 
 
 def test_null_vector_nullity_zero():
     with pytest.raises(DegenerateKernelError) as err:
-        null_vector(np.diag([1.0, 2.0, 3.0]))
+        null_vector(np.diag([1.0, 2.0, 3.0]), np.ones(3))
     assert "singular values" in str(err.value)
 
 
 def test_null_vector_nullity_two():
     with pytest.raises(DegenerateKernelError):
-        null_vector(np.diag([0.0, 0.0, 1.0]))
+        null_vector(np.diag([0.0, 0.0, 1.0]), np.ones(3))
 
 
 def test_null_vector_zero_matrix():
     with pytest.raises(DegenerateKernelError):
-        null_vector(np.zeros((2, 2)))
-    assert np.allclose(null_vector(np.zeros((1, 1))), [1.0])
+        null_vector(np.zeros((2, 2)), np.ones(2))
+    assert np.allclose(null_vector(np.zeros((1, 1)), np.ones(1)), [1.0])
 
 
 @given(st.integers(2, 6).flatmap(complex_matrix), st.floats(min_value=1e-3, max_value=1e3))
@@ -75,8 +75,8 @@ def test_null_vector_scale_invariant(m, c):
     q, _ = np.linalg.qr(m + np.eye(len(m)))
     a = m @ (np.eye(len(m)) - np.outer(q[:, 0], q[:, 0].conj()))
     try:
-        x1 = null_vector(a)
-        x2 = null_vector(c * a)
+        x1 = null_vector(a, np.ones(len(a)))
+        x2 = null_vector(c * a, np.ones(len(a)))
     except DegenerateKernelError:
         return  # hypothesis found an accidental extra degeneracy; out of scope
     overlap = np.abs(np.vdot(x1, x2))
@@ -98,11 +98,14 @@ def test_null_vector_agrees_with_svd_oracle(m):
     if peak == 0.0:
         return
     a = a / peak  # null vectors are scale-free; this keeps norms clear of underflow
-    s = np.linalg.svd(a, compute_uv=False)
+    u, s, vh = np.linalg.svd(a)
     if s[-1] > 1e-12 * np.linalg.norm(s) or s[-2] <= 1e-4 * np.linalg.norm(s):
         return  # near either threshold the two routes may decide differently
     expected = null_vector_svd(a)
-    x = null_vector(a)
+    # the left kernel plus the kernel in phase with it: a nilpotent a has the
+    # two orthogonal, and this border misses neither
+    left, right = u[:, -1], vh[-1].conj()
+    x = null_vector(a, left + np.exp(-1j * np.angle(np.vdot(left, right))) * right)
     resid = np.linalg.norm(a @ x)
     assert resid <= DEFAULT.null_rtol * np.linalg.norm(s)
     # a residual r puts x within angle r / sigma_{n-1} of the kernel
@@ -116,25 +119,25 @@ def test_null_vector_sparse_input(kind, n):
     dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dense[np.abs(dense) < 0.4] = 0.0
     dense[:, 3] = dense[:, :3] @ [1.0, -2.0, 0.5j]  # one kernel direction
-    x = null_vector(getattr(sp, kind)(dense))
+    x = null_vector(getattr(sp, kind)(dense), np.ones(n))
     assert np.linalg.norm(dense @ x) < 1e-12 * np.linalg.norm(dense)
-    assert _phase_free_gap(x, null_vector(dense)) < 1e-13
+    assert _phase_free_gap(x, null_vector(dense, np.ones(n))) < 1e-13
     assert _phase_free_gap(x, null_vector_svd(dense)) < 1e-12
 
 
 def test_null_vector_sums_duplicate_entries():
     # diag(0, 1, 2) stored with the (1, 1) entry split in two
     a = sp.coo_array(([0.25, 0.75, 2.0], ([1, 1, 2], [1, 1, 2])), shape=(3, 3))
-    x = null_vector(a)
+    x = null_vector(a, np.ones(3))
     assert np.abs(np.abs(x[0]) - 1.0) < 1e-12
     assert np.abs(x[1:]).max() < 1e-12
 
 
 def test_null_vector_sparse_input_checks():
     with pytest.raises(ValidationError, match="square"):
-        null_vector(sp.csc_array(np.ones((2, 3))))
+        null_vector(sp.csc_array(np.ones((2, 3))), np.ones(2))
     with pytest.raises(ValidationError, match="non-finite"):
-        null_vector(sp.csc_array(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+        null_vector(sp.csc_array(np.array([[np.inf, 0.0], [0.0, 1.0]])), np.ones(2))
 
 
 @pytest.mark.parametrize("n", [3, 6, 12, 160])
@@ -150,36 +153,63 @@ def test_null_vector_second_singular_value_near_zero(n):
     with pytest.raises(DegenerateKernelError):
         null_vector_svd(a)
     with pytest.raises(DegenerateKernelError):
-        null_vector(a)
+        null_vector(a, u[:, -1])
     with pytest.raises(DegenerateKernelError):
-        null_vector(sp.csc_array(a))
+        null_vector(sp.csc_array(a), u[:, -1])
     # the same matrix with a healthy second singular value passes
     s[-2] = 1e-3 * np.linalg.norm(s)
-    x = null_vector((u * s) @ v.conj().T)
+    x = null_vector((u * s) @ v.conj().T, u[:, -1])
     assert _phase_free_gap(x, v[:, -1]) < 1e-10
 
 
 @pytest.mark.parametrize("extra", [1, 200])  # dense and SuperLU factorisation
-def test_null_vector_kernel_orthogonal_to_uniform_border(extra):
-    # kernel (1, -1, 0, ...)/sqrt(2) is orthogonal to the uniform first
-    # border, which leaves the first bordered matrix exactly singular
+def test_null_vector_border_orthogonal_to_kernel_raises(extra):
+    # the kernel (1, -1, 0, ...)/sqrt(2) is orthogonal to the uniform border,
+    # which leaves the bordered matrix exactly singular although the kernel
+    # is simple; the left kernel (2, -1, 0, ...) as the border solves it
     a = sp.block_diag([np.array([[1.0, 1.0], [2.0, 2.0]]), sp.eye_array(extra)], format="csc")
+    with pytest.raises(DegenerateKernelError, match="not one-dimensional"):
+        null_vector(a, np.ones(2 + extra))
+    left = np.zeros(2 + extra)
+    left[:2] = [2.0, -1.0]
     expected = np.zeros(2 + extra)
     expected[:2] = [1.0, -1.0]
-    x = null_vector(a)
+    x = null_vector(a, left)
     assert _phase_free_gap(x, expected / np.sqrt(2.0)) < 1e-14
 
 
 def test_null_vector_residual_reaches_rounding_on_badly_scaled_matrix():
     # entries 1.2e-7 beside entries of size 1..4, third row (1 + 1e-5) times
-    # the first: the left kernel is almost orthogonal to the uniform border,
-    # and that bordered solve alone stops at a residual of ~5e-12
+    # the first: the left kernel is almost orthogonal to the uniform vector,
+    # and bordered by that the solve stops at a residual of ~5e-12; bordered
+    # by the left kernel it reaches rounding in one solve
     a = np.array([
         [3.0, 2.0, 1.2e-7],
         [1.2e-7, 1.0, 4.0],
         [3.0 * (1 + 1e-5), 2.0 * (1 + 1e-5), 1.2e-7 * (1 + 1e-5)],
     ])
-    x = null_vector(a)
+    x = null_vector(a, null_vector_svd(a.conj().T))
     n = a.shape[0]
     assert np.linalg.norm(a @ x) <= 100 * n * np.finfo(float).eps * np.linalg.norm(a)
     assert _phase_free_gap(x, null_vector_svd(a)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [5, 300])  # dense and SuperLU factorisation
+def test_null_vector_keeps_real_dtype(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    a[:, 0] = a[:, 1:] @ rng.normal(size=n - 1)  # one kernel direction
+    for matrix in (a, sp.csc_array(a)):
+        x = null_vector(matrix, np.ones(n))
+        assert x.dtype == np.float64
+        assert np.linalg.norm(a @ x) < 1e-12 * np.linalg.norm(a)
+    # a complex border makes the solve complex, with the same kernel
+    z = null_vector(a, np.exp(1j * np.arange(n)))
+    assert z.dtype == np.complex128
+    assert _phase_free_gap(z, x) < 1e-12
+
+
+def test_null_vector_rejects_bad_border():
+    for border in (np.ones(2), np.zeros(3), np.array([1.0, np.nan, 0.0])):
+        with pytest.raises(ValidationError, match="border"):
+            null_vector(np.diag([0.0, 1.0, 2.0]), border)
