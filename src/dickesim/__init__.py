@@ -25,6 +25,7 @@ from .dynamics import (
     build_liouvillian,
     evolve,
     steady_state_numeric,
+    steady_states_numeric,
     unvec,
     validate_density_matrix,
     vec,
@@ -37,7 +38,6 @@ from .entanglement import (
     validate_two_qubit_state,
 )
 from .semiclassical import (
-    FixedPointReport,
     bifurcation_scan,
     find_fixed_points,
     integrate_meanfield,
@@ -71,6 +71,7 @@ __all__ = [
     "build_liouvillian",
     "evolve",
     "steady_state_numeric",
+    "steady_states_numeric",
     "validate_density_matrix",
     "vec",
     "unvec",
@@ -81,7 +82,6 @@ __all__ = [
     "triplet_to_two_qubit",
     "pair_reduced_state",
     "validate_two_qubit_state",
-    "FixedPointReport",
     "meanfield_rhs",
     "meanfield_jacobian",
     "jacobian_eigenvalues",

@@ -17,7 +17,10 @@ coordinate vectors, with exact matrix exponentials of sizes d(d+1)/2
 and d(d-1)/2 instead of one complex d^2 x d^2 one.  Its work and memory
 are bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the
 states are checked in bounded chunks.  Steady states are solved in the
-same gauge, as the kernel of the real d^2 x d^2 generator.
+same gauge, as the kernel of the real d^2 x d^2 generator: one state
+at a time (steady_state_numeric), or a whole parameter grid of small
+spins as one stack (steady_states_numeric).  scipy is imported only by
+evolve and build_liouvillian.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
+from . import linalg
 from .errors import CapacityError, ValidationError
 from .linalg import as_complex_matrix, null_vector, require_hermitian
 from .settings import DEFAULT, NumericSettings
@@ -50,7 +52,7 @@ EXPM_WORK_LIMIT = 1e10
 # the chunked check the peak is ~1.6 times that, measured with tracemalloc
 # (at j = 16 the propagators' workspace adds a fixed ~27 MB)
 STATE_ENTRY_LIMIT = 2 ** 22
-# _check_states checks this many state entries at a time (1 MB complex)
+# validate_density_matrix checks stacks this many entries at a time (1 MB complex)
 CHECK_CHUNK_ENTRIES = 2 ** 16
 
 
@@ -129,15 +131,66 @@ def require_eig_floor(lowest, settings: NumericSettings = DEFAULT, name="rho"):
         )
 
 
+def check_states(states, settings: NumericSettings, label, spectrum=np.linalg.eigvalsh):
+    """The three state invariants on a (k, d, d) stack.
+
+    Returns spectrum(H) of the hermitized states H = (rho + rho^dag) / 2:
+    spectrum maps them to their ascending eigenvalues, or to a tuple
+    that starts with them (as np.linalg.eigh does).  The first failing
+    state, named label(k), raises the ValidationError that the
+    single-state checks raise for it.
+    """
+    adjoint = states.conj().swapaxes(1, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf: reported as non-finite below
+        defect = np.abs(states - adjoint).max(axis=(1, 2))
+    trace_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    passed = (defect <= settings.hermiticity_tol) & (trace_err <= settings.trace_tol)
+    first_bad = len(states) if passed.all() else int(np.argmin(passed))
+    out = spectrum(0.5 * (states[:first_bad] + adjoint[:first_bad]))
+    lowest = (out[0] if isinstance(out, tuple) else out)[:, 0]
+    if first_bad and lowest.min() < settings.density_eig_floor:
+        k = int(np.argmax(lowest < settings.density_eig_floor))
+        require_eig_floor(float(lowest[k]), settings, label(k))
+    if first_bad < len(states):
+        check_hermitian_unit_trace(states[first_bad], settings, label(first_bad))
+    return out
+
+
+def stack_labels(name, shape):
+    """label(k) for the k-th state of a stack of the given leading shape.
+
+    A callable name is used as it is; a string becomes name[index].
+    """
+    if callable(name):
+        return name
+    return lambda k: f"{name}[{', '.join(str(i) for i in np.unravel_index(k, shape))}]"
+
+
 def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"):
     """Check the three state invariants, returning the validated array.
 
     Hermitian within hermiticity_tol, unit trace within trace_tol, and
     smallest eigenvalue above density_eig_floor.  Raises ValidationError
-    naming the violated check.
+    naming the violated check.  rho may be one (d, d) state or a
+    (..., d, d) stack, checked in chunks of CHECK_CHUNK_ENTRIES entries;
+    the error then names the first failing state, as name(k) for the
+    k-th state in C order when name is callable, else as name[index].
     """
-    rho = check_hermitian_unit_trace(rho, settings, name)
-    require_eig_floor(float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]), settings, name)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 2:  # one state: the same checks, without the stack's bookkeeping
+        rho = check_hermitian_unit_trace(rho, settings, name)
+        require_eig_floor(float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]), settings, name)
+        return rho
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] < 1:
+        raise ValidationError(
+            f"{name} must be a square matrix or a stack of them, got shape {rho.shape}"
+        )
+    d = rho.shape[-1]
+    states = rho.reshape(-1, d, d)
+    label = stack_labels(name, rho.shape[:-2])
+    size = max(1, CHECK_CHUNK_ENTRIES // (d * d))
+    for start in range(0, len(states), size):
+        check_states(states[start:start + size], settings, lambda k: label(start + k))
     return rho
 
 
@@ -198,21 +251,33 @@ def _generator_pattern(two_j):
     return tuple(out)
 
 
-def build_liouvillian(params: ModelParams) -> sp.csc_array:
+def _generator_values(two_j, omega, gamma_a, nbar):
+    """The generator's entries in _generator_pattern's order.
+
+    The cached unit-rate values combined with omega, gamma_a nbar / 2
+    and gamma_a (nbar + 1) / 2; rates of shape (k, 1) give (k, nnz).
+    """
+    drive, heating, decay = _generator_pattern(two_j)[2:]
+    return (
+        omega * drive
+        + (gamma_a * nbar / 2.0) * heating
+        + (gamma_a * (nbar + 1.0) / 2.0) * decay
+    )
+
+
+def build_liouvillian(params: ModelParams) -> "scipy.sparse.csc_array":
     """Sparse (d^2, d^2) generator acting on column-stacked states.
 
     At most seven nonzeros per row.  The structure and the unit-rate
-    values are cached per 2j; a call only combines them with omega,
-    gamma_a nbar / 2 and gamma_a (nbar + 1) / 2.  The entries equal the
-    dense Kronecker-sum form exactly.
+    values are cached per 2j; a call only combines them with the rates
+    (_generator_values).  The entries equal the dense Kronecker-sum
+    form exactly.
     """
+    import scipy.sparse as sp
+
     p = params
-    indptr, indices, drive, heating, decay = _generator_pattern(p.j.two_j)
-    data = (
-        p.omega * drive
-        + (p.gamma_a * p.nbar / 2.0) * heating
-        + (p.gamma_a * (p.nbar + 1.0) / 2.0) * decay
-    )
+    indptr, indices = _generator_pattern(p.j.two_j)[:2]
+    data = _generator_values(p.j.two_j, p.omega, p.gamma_a, p.nbar)
     n = len(indptr) - 1
     return sp.csc_array((data, indices, indptr), shape=(n, n))
 
@@ -303,31 +368,6 @@ def _step_runs(steps, slack):
     return runs
 
 
-def _check_states(states, t_grid, settings: NumericSettings):
-    """validate_density_matrix on a (T, d, d) stack, vectorised over chunks of states.
-
-    The same three invariants and thresholds; the first failing state
-    raises the ValidationError validate_density_matrix raises for it.
-    Chunks of CHECK_CHUNK_ENTRIES entries bound the temporaries.
-    """
-    d = states.shape[1]
-    size = max(1, CHECK_CHUNK_ENTRIES // (d * d))
-    for start in range(0, len(states), size):
-        chunk = states[start:start + size]
-        defect = np.abs(chunk - chunk.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        trace_err = np.abs(np.trace(chunk, axis1=1, axis2=2) - 1.0)
-        passed = (defect <= settings.hermiticity_tol) & (trace_err <= settings.trace_tol)
-        first_bad = len(chunk) if passed.all() else int(np.argmin(passed))
-        lowest = np.linalg.eigvalsh(chunk[:first_bad])[:, 0]
-        negative = np.flatnonzero(lowest < settings.density_eig_floor)
-        if negative.size:
-            k = negative[0]
-            require_eig_floor(float(lowest[k]), settings, f"state at t={t_grid[start + k]:g}")
-        if first_bad < len(chunk):
-            name = f"state at t={t_grid[start + first_bad]:g}"
-            check_hermitian_unit_trace(chunk[first_bad], settings, name)
-
-
 def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAULT) -> Trajectory:
     """Propagate the master equation exactly over t_grid.
 
@@ -342,14 +382,16 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
     then skipped.  Steps that differ only by the rounding of
     np.linspace share one propagator, so a uniform grid costs one
     matrix exponential per block.  The states are rebuilt together,
-    Hermitian by construction, and checked against the density-matrix
-    invariants in chunks (_check_states).
+    Hermitian by construction, and checked as one stack
+    (validate_density_matrix).
 
     Raises CapacityError for dimensions above DENSE_DIM_LIMIT.  Before
     any propagator is built it also raises CapacityError when the
     distinct steps times the cubed block sizes exceed EXPM_WORK_LIMIT,
     or len(t_grid) * d^2 exceeds STATE_ENTRY_LIMIT.
     """
+    import scipy.linalg
+
     p = params
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
@@ -404,8 +446,24 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
         part[(slice(None), *triangle)] = x
         part[(slice(None), *triangle[::-1])] = sign * x
     states *= ph
-    _check_states(states, t_grid, settings)
+    validate_density_matrix(states, settings, lambda k: f"state at t={t_grid[k]:g}")
     return Trajectory(times=t_grid, states=tuple(states))
+
+
+def _require_unique_steady(omega, gamma_a, nbar):
+    """Reject rates, scalars or arrays, whose steady state is not unique."""
+    if np.any((omega == 0.0) & (nbar > 0.0)):
+        raise ValidationError(
+            "steady state not unique/supported at omega = 0 with nbar > 0"
+        )
+    if np.any(gamma_a == 0.0):
+        raise ValidationError("no dissipation (gamma_a = 0): no relaxation to a steady state")
+
+
+def _steady_rho(Y, ph):
+    """rho = ph * sym(Y) / tr(Y) for one gauged kernel Y or a (k, d, d) stack."""
+    tr = np.trace(Y, axis1=-2, axis2=-1)[..., None, None]
+    return ph * ((Y + Y.swapaxes(-2, -1)) / (2.0 * tr))
 
 
 def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAULT) -> np.ndarray:
@@ -417,21 +475,18 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
     the ladder degeneracy structure and is rejected up front.
 
     Solves in the gauge of _gauge_phase, where the d^2 x d^2 generator
-    G is real, with one real LU of G bordered by the trace functional
-    vec(I) (linalg.null_vector).  vec(I) is the exact left kernel of
+    G is real, with one real factorisation of G bordered by the trace
+    functional vec(I) (linalg.null_vector: a dense inverse up to j = 5,
+    SuperLU above).  vec(I) is the exact left kernel of
     every trace-preserving generator, and its overlap with the kernel is
     the steady state's trace, so the bordered matrix is well conditioned
     whenever the steady state is unique.  rho = ph * sym(Y) / tr(Y) is
     Hermitian by construction.  Raises CapacityError above
-    STEADY_DIM_LIMIT.
+    STEADY_DIM_LIMIT.  steady_states_numeric solves a grid of small
+    spins at once.
     """
     p = params
-    if p.omega == 0.0 and p.nbar > 0.0:
-        raise ValidationError(
-            "steady state not unique/supported at omega = 0 with nbar > 0"
-        )
-    if p.gamma_a == 0.0:
-        raise ValidationError("no dissipation (gamma_a = 0): no relaxation to a steady state")
+    _require_unique_steady(p.omega, p.gamma_a, p.nbar)
     d = p.j.dim
     if d > STEADY_DIM_LIMIT:
         raise CapacityError(
@@ -444,5 +499,46 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
     G.data = (phase * G.data).real  # conj(ph_r) L[r, c] ph_c, on L's own structure
     # bordered by vec(I), d ones on the diagonal coordinates
     Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
-    rho = ph * ((Y + Y.T) / (2.0 * np.trace(Y)))
-    return validate_density_matrix(rho, settings, "steady state")
+    return validate_density_matrix(_steady_rho(Y, ph), settings, "steady state")
+
+
+def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings = DEFAULT) -> np.ndarray:
+    """Steady states of one spin on a parameter grid, as a (k, d, d) stack.
+
+    omega, gamma_a and nbar broadcast to one 1-D grid of k points, each
+    finite and >= 0 with a unique steady state (see
+    steady_state_numeric).  The route is steady_state_numeric's for all
+    points at once: the k real gauged generators are assembled dense,
+    straight from the cached pattern and gauge phase, one null_vector
+    call solves the stack, and one validate_density_matrix call checks
+    it, naming a failing state by its parameters.  Only spins whose d^2
+    unknowns are within linalg's dense limit (j <= 5) are covered;
+    larger ones raise CapacityError.
+    """
+    s = SpinQuantum.from_j(spin)
+    rates = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (omega, gamma_a, nbar)))
+    for name, v in zip(("omega", "gamma_a", "nbar"), rates):
+        if v.ndim != 1:
+            raise ValidationError(f"{name} must broadcast to a 1-D grid, got shape {v.shape}")
+        if not np.all(np.isfinite(v) & (v >= 0.0)):
+            raise ValidationError(f"{name} must be finite and >= 0 everywhere")
+    omega, gamma_a, nbar = rates
+    _require_unique_steady(omega, gamma_a, nbar)
+    d, n = s.dim, s.dim * s.dim
+    if n > linalg._DENSE_LU_MAX:
+        raise CapacityError(
+            f"steady_states_numeric covers d^2 <= {linalg._DENSE_LU_MAX} unknowns, "
+            f"got {n} at j = {s.j}; use steady_state_numeric"
+        )
+    indptr, indices = _generator_pattern(s.two_j)[:2]
+    ph, phase = _gauge_phase(s.two_j)
+    values = _generator_values(s.two_j, omega[:, None], gamma_a[:, None], nbar[:, None])
+    G = np.zeros((len(omega), n, n))
+    G[:, indices, np.repeat(np.arange(n), np.diff(indptr))] = (phase * values).real
+    x = null_vector(G, np.eye(d).ravel(), settings)
+    # each C-order block is Y^T of the column-stacked Y, and sym(Y^T) = sym(Y)
+    rho = _steady_rho(x.reshape(-1, d, d), ph)
+    return validate_density_matrix(
+        rho, settings,
+        lambda k: f"steady state at omega={omega[k]:g}, gamma_a={gamma_a[k]:g}, nbar={nbar[k]:g}",
+    )

@@ -18,13 +18,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .dynamics import check_hermitian_unit_trace, require_eig_floor, validate_density_matrix
+from .dynamics import (
+    check_hermitian_unit_trace,
+    check_states,
+    require_eig_floor,
+    stack_labels,
+    validate_density_matrix,
+)
 from .linalg import as_complex_matrix
 from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, ladder_coefficients, m_values
 
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _YY = np.kron(_SY, _SY)
+# the isometry of triplet_to_two_qubit
+_ISO = np.zeros((4, 3))
+_ISO[0, 0] = 1.0
+_ISO[1, 1] = _ISO[2, 1] = 1.0 / np.sqrt(2.0)
+_ISO[3, 2] = 1.0
 
 
 def _as_two_qubit(rho, name):
@@ -38,8 +49,8 @@ def validate_two_qubit_state(rho, settings: NumericSettings = DEFAULT, name="rho
     return validate_density_matrix(_as_two_qubit(rho, name), settings, name)
 
 
-def concurrence(rho, settings: NumericSettings = DEFAULT) -> float:
-    """Wootters concurrence C(rho) of a two-qubit state.
+def concurrence(rho, settings: NumericSettings = DEFAULT):
+    """Wootters concurrence C(rho) of a two-qubit state, or of a stack of them.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots
     of the eigenvalues of rho @ rho_tilde, rho_tilde = (sy kron sy)
@@ -48,30 +59,41 @@ def concurrence(rho, settings: NumericSettings = DEFAULT) -> float:
     rounding when rho is rank-deficient, where the eigenvalues of the
     non-Hermitian product lose half the digits.  The one eigh that
     gives the factor also gives the positivity check of the input.
+
+    One 4x4 state gives a float.  A (..., 4, 4) stack gives an array of
+    its concurrences, computed in one pass after one check of the whole
+    stack, which names the first failing state as rho[index].
     """
-    rho = check_hermitian_unit_trace(_as_two_qubit(rho, "rho"), settings, "rho")
-    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    require_eig_floor(float(w[0]), settings, "rho")
-    x = v * np.sqrt(np.clip(w, 0.0, None))
-    lam = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 2:  # one state: the same checks, without the stack's bookkeeping
+        rho = check_hermitian_unit_trace(_as_two_qubit(rho, "rho"), settings, "rho")
+        w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        require_eig_floor(float(w[0]), settings, "rho")
+        x = v * np.sqrt(np.clip(w, 0.0, None))
+        lam = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
+        return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ValidationError(f"rho must be 4x4 or a stack of 4x4 states, got {rho.shape}")
+    w, v = check_states(rho.reshape(-1, 4, 4), settings,
+                        stack_labels("rho", rho.shape[:-2]), np.linalg.eigh)
+    x = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    lam = np.linalg.svd(x.swapaxes(1, 2) @ _YY @ x, compute_uv=False)
+    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return c.reshape(rho.shape[:-2])
 
 
 def triplet_to_two_qubit(rho3, settings: NumericSettings = DEFAULT) -> np.ndarray:
-    """Embed a spin-1 state into two qubits through the triplet sector.
+    """Embed a spin-1 state, or a (..., 3, 3) stack of them, into two qubits.
 
-    Isometry: top level -> |ee>, middle -> (|eg>+|ge>)/sqrt(2),
-    bottom -> |gg>.  The singlet component of the output is exactly zero.
+    Through the triplet sector, by the isometry top level -> |ee>,
+    middle -> (|eg>+|ge>)/sqrt(2), bottom -> |gg>.  The singlet
+    component of the output is exactly zero.
     """
-    rho3 = as_complex_matrix(rho3, "rho3")
-    if rho3.shape != (3, 3):
+    rho3 = np.asarray(rho3, dtype=complex)
+    if rho3.ndim < 2 or rho3.shape[-2:] != (3, 3):
         raise ValidationError(f"spin-1 state must be 3x3, got {rho3.shape}")
     validate_density_matrix(rho3, settings, "rho3")
-    iso = np.zeros((4, 3))
-    iso[0, 0] = 1.0
-    iso[1, 1] = iso[2, 1] = 1.0 / np.sqrt(2.0)
-    iso[3, 2] = 1.0
-    return iso @ rho3 @ iso.T
+    return _ISO @ rho3 @ _ISO.T
 
 
 def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.ndarray:

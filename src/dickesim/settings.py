@@ -17,7 +17,8 @@ class NumericSettings:
     trace_tol: float = 1e-10          # |tr(rho) - 1| accepted for density matrices
     density_eig_floor: float = -1e-9  # most negative state eigenvalue accepted
     null_rtol: float = 1e-9           # ||A x|| <= null_rtol * ||A||_F for null vectors
-    null_gap_rtol: float = 1e-8       # 1 / kappa_1(bordered matrix), estimated, below this means degenerate
+    null_gap_rtol: float = 1e-8       # 1 / kappa_1(bordered matrix) below this means degenerate;
+                                      # kappa_1 is exact on the dense route, estimated on SuperLU
     fixed_point_resid: float = 1e-8   # residual accepted when classifying equilibria
     bifurcation_tol: float = 1e-6     # bisection bracket width for the critical drive
 

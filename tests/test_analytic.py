@@ -115,6 +115,16 @@ def test_closed_form_equals_general_path(gamma):
     assert np.abs(closed_form_j1(gamma) - steady_state_analytic(1, gamma)).max() < 1e-12
 
 
+def test_closed_form_on_a_gamma_array():
+    gammas = np.logspace(-3.0, 3.0, 13).reshape(1, 13)
+    stack = closed_form_j1(gammas)
+    assert stack.shape == (1, 13, 3, 3)
+    for g, rho in zip(gammas.ravel(), stack[0]):
+        assert np.array_equal(rho, closed_form_j1(g))
+    with pytest.raises(ValidationError, match="-1.0"):
+        closed_form_j1([0.5, -1.0])
+
+
 @pytest.mark.parametrize("j,gamma", [(1, 0.3), (2.5, 1.1), (16, 2.0), (64, 0.5)])
 def test_output_is_valid_state(j, gamma):
     rho = steady_state_analytic(j, gamma)

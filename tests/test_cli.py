@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim import closed_form_j1, steady_state_analytic
+from dickesim import cli, closed_form_j1, steady_state_analytic
 from dickesim.cli import UsageError, main, parse_grid
 
 
@@ -212,6 +212,23 @@ def test_evolve_pure_decay_csv(tmp_path):
     assert rows[0][1] == pytest.approx(1.0, abs=1e-12)  # starts fully excited
 
 
+def test_evolve_spin1_csv_equals_per_state_computation(tmp_path):
+    out = tmp_path / "j1.csv"
+    args = ["--j", "1", "--omega", "1", "--gamma-a", "0.7", "--nbar", "0.3", "--t-max", "3", "--steps", "30"]
+    assert run_cli(["evolve"] + args + ["--output", str(out)]) == 0
+    from dickesim import ModelParams, build_jz, concurrence, dicke_projector, evolve, triplet_to_two_qubit
+
+    params = ModelParams(j=1, omega=1.0, gamma_a=0.7, nbar=0.3)
+    trajectory = evolve(dicke_projector(1, 1), params, np.linspace(0.0, 3.0, 31))
+    jz = build_jz(1)
+    expected = [
+        [float(t), float(np.einsum("ij,ji->", rho, jz).real), float(rho[0, 0].real),
+         float(rho[-1, -1].real), concurrence(triplet_to_two_qubit(rho))]
+        for t, rho in zip(trajectory.times, trajectory.states)
+    ]
+    assert read_csv(out)[1] == expected
+
+
 def test_evolve_non_spin1_leaves_concurrence_blank(tmp_path):
     out = tmp_path / "j32.csv"
     rc = run_cli(
@@ -250,10 +267,11 @@ def test_evolve_rejects_motionless_model(tmp_path, capsys):
 
 @pytest.mark.parametrize("base, rows", [
     (["fig1", "--gamma-grid", "log:0.1:10:5", "--nbar-grid", "0:1:3"], 15),
-    (["fig2", "--gamma-grid", "log:0.1:10:7"], 7),
+    (["fig2", "--gamma-grid", "log:0.001:1000:1100"], 1100),  # more than one block
     (["fig3", "--j-list", "1,4,16", "--omega-r-grid", "0.5:1.5:5"], 15),
 ], ids=["fig1", "fig2", "fig3"])
 def test_scan_deterministic_and_parallel_identical(tmp_path, base, rows):
+    assert base[0] != "fig2" or rows > cli.BLOCK_ROWS
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert run_cli(base + ["--output", str(paths[0])]) == 0
     assert run_cli(base + ["--output", str(paths[1])]) == 0
@@ -262,6 +280,46 @@ def test_scan_deterministic_and_parallel_identical(tmp_path, base, rows):
     assert blobs[0] == blobs[1] == blobs[2]
     assert b"\r" not in blobs[0]
     assert len(blobs[0].splitlines()) == rows + 1
+
+
+@pytest.mark.parametrize("base", [
+    ["fig1", "--gamma-grid", "log:0.1:10:7", "--nbar-grid", "0:1:3"],
+    ["fig2", "--gamma-grid", "log:0.1:10:13"],
+], ids=["fig1", "fig2"])
+def test_row_blocks_do_not_change_the_rows(tmp_path, monkeypatch, base):
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert run_cli(base + ["--output", str(whole)]) == 0
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    assert run_cli(base + ["--output", str(blocked)]) == 0
+    assert whole.read_bytes() == blocked.read_bytes()
+
+
+def test_row_blocks_are_bounded_and_spread_over_jobs(monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(cli, "_map_rows", lambda worker, tasks, jobs: [worker(t) for t in tasks])
+
+    def sizes(count, jobs):  # each block comes back as one row
+        blocks = cli._map_blocks(lambda task: [task[0]], (np.arange(count),), None, jobs)
+        assert np.array_equal(np.concatenate(blocks), np.arange(count))
+        return [len(block) for block in blocks]
+
+    assert sizes(10, 1) == [4, 4, 2]
+    assert sizes(10, 5) == [2] * 5
+    assert sizes(3, 8) == [1] * 3
+
+
+def test_fig1_stacked_route_matches_single_solves_on_the_paper_grid(tmp_path):
+    out = tmp_path / "fig1.csv"
+    rc = run_cli(["fig1", "--gamma-grid", "log:0.01:100:41", "--nbar-grid", "0:3:4", "--output", str(out)])
+    assert rc == 0
+    from dickesim import ModelParams, concurrence, steady_state_numeric, triplet_to_two_qubit
+
+    _, rows = read_csv(out)
+    grid = [[g, n] for g in parse_grid("log:0.01:100:41").tolist() for n in parse_grid("0:3:4").tolist()]
+    assert [row[:2] for row in rows] == grid  # gamma-major, as the rows were before stacking
+    for gamma, nbar, value in rows:
+        rho = steady_state_numeric(ModelParams(j=1, omega=1.0, gamma_a=gamma, nbar=nbar))
+        assert abs(value - concurrence(triplet_to_two_qubit(rho))) <= 1e-14
 
 
 def test_fig2_values_match_library(tmp_path):
@@ -476,8 +534,26 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     assert len(rows) == 3
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # the package import is what every CLI run pays before any work
     done = run_python(["-c", "import sys, dickesim; print('scipy.integrate' in sys.modules)"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+    # nor do the CLI import and the figure and mean-field scans load any of scipy
+    script = f"""
+import sys
+import dickesim.cli
+loaded = [sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+for argv in (
+    ["fig1", "--gamma-grid", "log:0.1:10:3", "--nbar-grid", "0:1:2"],
+    ["fig2", "--gamma-grid", "log:0.1:10:3"],
+    ["fig3", "--j-list", "1,4", "--omega-r-grid", "0.5:1.5:3"],
+    ["semiclassical", "--omega-r-grid", "0.05:2:40"],
+):
+    assert dickesim.cli.main(argv + ["--output", {str(tmp_path / "scan.csv")!r}]) == 0
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(loaded)
+"""
+    done = run_python(["-c", script])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str([[]] * 5)

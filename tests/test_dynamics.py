@@ -21,6 +21,7 @@ from dickesim import (
     evolve,
     steady_state_analytic,
     steady_state_numeric,
+    steady_states_numeric,
     unvec,
     validate_density_matrix,
     vec,
@@ -184,6 +185,52 @@ def test_validate_rejects_nonhermitian():
 def test_validate_rejects_negative_state():
     with pytest.raises(ValidationError, match="positive"):
         validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def _corrupt(kind, rho):
+    bad = rho.copy()
+    if kind == "trace":
+        bad *= 1.01
+    elif kind == "Hermitian":
+        bad[0, 1] += 1e-6
+    elif kind == "positive":
+        bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
+    else:
+        bad[1, 1] = np.nan
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["trace", "Hermitian", "positive", "non-finite"])
+@pytest.mark.parametrize("chunk_entries", [dynamics.CHECK_CHUNK_ENTRIES, 9])
+def test_validate_stack_names_the_first_bad_state(monkeypatch, kind, chunk_entries):
+    # with chunks of one state the bad states sit in later chunks
+    monkeypatch.setattr(dynamics, "CHECK_CHUNK_ENTRIES", chunk_entries)
+    rng = np.random.default_rng(11)
+    stack = np.array([random_density(rng, 3) for _ in range(6)])
+    assert validate_density_matrix(stack) is not None
+    stack[3] = _corrupt(kind, stack[3])
+    stack[5] = _corrupt("positive", stack[5])
+    with pytest.raises(ValidationError, match=rf"rho\[3\] .*{kind}"):
+        validate_density_matrix(stack)
+    with pytest.raises(ValidationError, match=rf"rho\[1, 0\] .*{kind}"):
+        validate_density_matrix(stack.reshape(2, 3, 3, 3))
+    with pytest.raises(ValidationError, match=rf"state 3 .*{kind}"):
+        validate_density_matrix(stack, name=lambda k: f"state {k}")
+
+
+def test_validate_stack_matches_single_state_checks():
+    rng = np.random.default_rng(12)
+    stack = np.array([random_density(rng, 4) for _ in range(5)])
+    assert np.array_equal(validate_density_matrix(stack), stack)
+    for bad in (_corrupt(kind, stack[0][:3, :3] / np.trace(stack[0][:3, :3]))
+                for kind in ("trace", "Hermitian", "positive", "non-finite")):
+        with pytest.raises(ValidationError) as single:
+            validate_density_matrix(bad)
+        with pytest.raises(ValidationError) as stacked:
+            validate_density_matrix(bad[None])
+        assert str(stacked.value) == str(single.value).replace("rho ", "rho[0] ", 1)
+    with pytest.raises(ValidationError, match="square"):
+        validate_density_matrix(np.ones((2, 3, 4)) / 3.0)
 
 
 # ---------------------------------------------------------------- evolve
@@ -469,29 +516,26 @@ def test_steady_near_pure_state_one_bordered_solve(monkeypatch):
     assert len(kappas) == 1 and kappas[0] * DEFAULT.null_gap_rtol <= 1.0
 
 
-@pytest.mark.parametrize("j", [1, 6.5, 7, 16])  # dense and SuperLU factorisation
+@pytest.mark.parametrize("j", [1, 5, 5.5, 6.5, 7, 16])  # dense inverse and SuperLU
 def test_steady_factors_once(monkeypatch, j):
     factored = []
     real_splu = scipy.sparse.linalg.splu
-    real_lapack = scipy.linalg.get_lapack_funcs
+    real_inv = np.linalg.inv
 
     def splu(*args, **kwargs):
         factored.append("splu")
         return real_splu(*args, **kwargs)
 
-    def get_lapack_funcs(names, arrays):
-        funcs = real_lapack(names, arrays)
-
-        def getrf(*args, **kwargs):
-            factored.append("getrf")
-            return funcs[0](*args, **kwargs)
-
-        return (getrf, *funcs[1:]) if names[0] == "getrf" else funcs
+    def inv(a):
+        factored.append(("inv", a.shape))
+        return real_inv(a)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    monkeypatch.setattr(np.linalg, "inv", inv)
     steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=0.5, nbar=0.3))
-    assert factored == ["getrf" if j <= 6.5 else "splu"]
+    n = int(2 * j + 1) ** 2
+    assert (n <= linalg._DENSE_LU_MAX) == (j <= 5)
+    assert factored == [("inv", (1, n + 1, n + 1)) if j <= 5 else "splu"]
 
 
 def test_gauge_phase_makes_generator_entries_real():
@@ -521,6 +565,49 @@ def test_steady_is_fixed_point_of_evolve():
     rho = steady_state_numeric(p)
     traj = evolve(rho, p, np.array([0.0, 10.0 / p.gamma_a]))
     assert trace_distance(traj.states[-1], rho) < 1e-7
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 2, 5])
+def test_steady_states_numeric_matches_pointwise(j):
+    rng = np.random.default_rng(int(2 * j))
+    gamma_a = rng.uniform(0.01, 10.0, size=12)
+    nbar = rng.uniform(0.0, 3.0, size=12)
+    nbar[:3] = 0.0
+    stack = steady_states_numeric(j, 1.0, gamma_a, nbar)
+    d = int(2 * j + 1)
+    assert stack.shape == (12, d, d)
+    for rho, g, n in zip(stack, gamma_a, nbar):
+        single = steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=g, nbar=n))
+        assert np.abs(rho - single).max() <= 1e-14
+
+
+def test_steady_states_numeric_input_checks():
+    with pytest.raises(CapacityError, match="steady_state_numeric"):
+        steady_states_numeric(5.5, 1.0, [0.5], 0.0)
+    with pytest.raises(ValidationError, match="nbar"):
+        steady_states_numeric(1, 1.0, [0.5, 0.6], [0.0, -0.1])
+    with pytest.raises(ValidationError, match="gamma_a"):
+        steady_states_numeric(1, 1.0, [0.5, np.inf], 0.0)
+    with pytest.raises(ValidationError, match="1-D"):
+        steady_states_numeric(1, 1.0, [[0.5]], 0.0)
+    with pytest.raises(ValidationError, match="not unique"):
+        steady_states_numeric(1, [1.0, 0.0], 0.5, 0.3)
+    with pytest.raises(ValidationError, match="no dissipation"):
+        steady_states_numeric(1, 1.0, [0.5, 0.0], 0.3)
+
+
+def test_steady_states_numeric_names_the_failing_point(monkeypatch):
+    # a kernel vector that is no state: the stack check names its parameters
+    real = dynamics.null_vector
+
+    def corrupted(G, border, settings):
+        x = real(G, border, settings)
+        x[1] = np.diag([1.0, -0.5, 0.5]).ravel()
+        return x
+
+    monkeypatch.setattr(dynamics, "null_vector", corrupted)
+    with pytest.raises(ValidationError, match=r"omega=1, gamma_a=0\.25, nbar=0\.5 not positive"):
+        steady_states_numeric(1, 1.0, [0.5, 0.25, 0.125], 0.5)
 
 
 def test_steady_independent_of_initial_state():

@@ -164,6 +164,32 @@ def test_embedding_rejects_wrong_shape():
         triplet_to_two_qubit(np.eye(4) / 4.0)
 
 
+def test_stacks_match_single_states():
+    rng = np.random.default_rng(41)
+    spin1 = np.array([random_density(rng, 3, rank=1 + k % 3) for k in range(6)])
+    pairs = triplet_to_two_qubit(spin1)
+    assert pairs.shape == (6, 4, 4)
+    values = concurrence(pairs.reshape(2, 3, 4, 4))
+    assert isinstance(values, np.ndarray) and values.shape == (2, 3)
+    for rho3, pair, value in zip(spin1, pairs, values.ravel()):
+        assert np.array_equal(pair, triplet_to_two_qubit(rho3))
+        single = concurrence(pair)
+        assert isinstance(single, float) and value == single
+
+
+def test_concurrence_stack_names_the_first_bad_state():
+    rng = np.random.default_rng(42)
+    stack = np.array([random_density(rng, 4) for _ in range(5)])
+    stack[2] = np.diag([0.8, 0.4, -0.1, -0.1])
+    stack[4] *= 2.0
+    with pytest.raises(ValidationError, match=r"rho\[2\] not positive"):
+        concurrence(stack)
+    with pytest.raises(ValidationError, match=r"rho3\[1\] trace"):
+        triplet_to_two_qubit([np.eye(3) / 3.0, np.eye(3)])
+    with pytest.raises(ValidationError, match="4x4"):
+        concurrence(np.ones((2, 3, 3)) / 3.0)
+
+
 # ---------------------------------------------------------------- pair reduction
 
 def test_pair_reduction_bottom_level_is_gg():

@@ -11,6 +11,7 @@ from dickesim import (
     null_vector,
     validate_density_matrix,
 )
+from dickesim import linalg
 from util import null_vector_svd, random_unitary
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -213,3 +214,62 @@ def test_null_vector_rejects_bad_border():
     for border in (np.ones(2), np.zeros(3), np.array([1.0, np.nan, 0.0])):
         with pytest.raises(ValidationError, match="border"):
             null_vector(np.diag([0.0, 1.0, 2.0]), border)
+
+
+# ---------------------------------------------------------------- stacks
+
+def _kernel_stack(rng, k, n):
+    """k real n x n matrices with one kernel direction each, and their left kernels."""
+    a = rng.normal(size=(k, n, n))
+    a[:, :, 0] = np.einsum("kij,kj->ki", a[:, :, 1:], rng.normal(size=(k, n - 1)))
+    return a
+
+
+def test_null_vector_stack_matches_single_solves():
+    rng = np.random.default_rng(21)
+    a = _kernel_stack(rng, 7, 6)
+    border = np.ones(6)
+    x = null_vector(a, border)
+    assert x.shape == (7, 6) and x.dtype == np.float64
+    for item, xi in zip(a, x):
+        assert np.array_equal(xi, null_vector(item, border))
+        assert np.linalg.norm(item @ xi) < 1e-12 * np.linalg.norm(item)
+
+
+def test_null_vector_dense_condition_is_exact():
+    # the dense route's kappa_1 is the exact 1-norm condition number of the
+    # bordered matrix, which the Hager-Higham estimate only bounds from below
+    rng = np.random.default_rng(22)
+    a = _kernel_stack(rng, 4, 5)
+    border = rng.normal(size=(4, 5))
+    _, kappa = linalg._bordered_inverse(a, border, str)
+    for item, b, kap in zip(a, border, kappa):
+        m = np.block([[item, b[:, None]], [b[None, :], np.zeros((1, 1))]])
+        assert kap == pytest.approx(np.linalg.cond(m, 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda a: np.diag([0.0, 1e-12, 1.0, 2.0]), "not one-dimensional: condition number"),
+    (lambda a: np.diag([1.0, 2.0, 3.0, 4.0]), "no null vector"),
+    (lambda a: np.zeros((4, 4)), "zero matrix"),
+    # the kernel (1, -1, 0, 0) is orthogonal to the uniform border: M is singular
+    (lambda a: np.diag([1.0, 1.0, 3.0, 4.0]) + np.diag([1.0, 0.0, 0.0], 1)
+     + np.diag([1.0, 0.0, 0.0], -1), "bordered matrix is singular"),
+])
+def test_null_vector_stack_names_the_failing_item(corrupt, message):
+    rng = np.random.default_rng(23)
+    a = _kernel_stack(rng, 5, 4)
+    a[2] = corrupt(a[2])
+    a[4] = np.diag([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DegenerateKernelError, match=rf"^item 2: .*{message}"):
+        null_vector(a, np.ones(4))
+
+
+def test_null_vector_stack_input_checks():
+    with pytest.raises(ValidationError, match="square"):
+        null_vector(np.zeros((2, 3, 4)), np.ones(4))
+    with pytest.raises(ValidationError, match="non-finite"):
+        null_vector(np.full((2, 3, 3), np.nan), np.ones(3))
+    n = linalg._DENSE_LU_MAX + 1
+    with pytest.raises(ValidationError, match="stack"):
+        null_vector(np.zeros((2, n, n)), np.ones(n))
