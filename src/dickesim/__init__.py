@@ -13,10 +13,8 @@ from .linalg import null_vector
 from .spin_ops import (
     SpinQuantum,
     build_jminus,
-    build_jplus,
     build_jz,
     dicke_projector,
-    expectation,
     m_values,
 )
 from .dynamics import (
@@ -26,23 +24,18 @@ from .dynamics import (
     evolve,
     steady_state_numeric,
     steady_states_numeric,
-    unvec,
     validate_density_matrix,
-    vec,
 )
 from .analytic import closed_form_j1, normalization_D, steady_state_analytic
 from .entanglement import (
     concurrence,
     pair_reduced_state,
     triplet_to_two_qubit,
-    validate_two_qubit_state,
 )
 from .semiclassical import (
     bifurcation_scan,
     find_fixed_points,
     integrate_meanfield,
-    jacobian_eigenvalues,
-    meanfield_jacobian,
     meanfield_rhs,
     stable_branch_summary,
 )
@@ -62,10 +55,8 @@ __all__ = [
     "SpinQuantum",
     "m_values",
     "build_jminus",
-    "build_jplus",
     "build_jz",
     "dicke_projector",
-    "expectation",
     "ModelParams",
     "Trajectory",
     "build_liouvillian",
@@ -73,18 +64,13 @@ __all__ = [
     "steady_state_numeric",
     "steady_states_numeric",
     "validate_density_matrix",
-    "vec",
-    "unvec",
     "steady_state_analytic",
     "normalization_D",
     "closed_form_j1",
     "concurrence",
     "triplet_to_two_qubit",
     "pair_reduced_state",
-    "validate_two_qubit_state",
     "meanfield_rhs",
-    "meanfield_jacobian",
-    "jacobian_eigenvalues",
     "find_fixed_points",
     "bifurcation_scan",
     "stable_branch_summary",

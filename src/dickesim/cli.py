@@ -2,16 +2,22 @@
 
 Six subcommands (steady, evolve, fig1, fig2, fig3, semiclassical) share
 the global flags --output, --format, --jobs, --config, --tolerance and
---gnuplot.  Scan output is CSV (or a JSON mirror of the same rows) with
-frozen headers and shortest-round-trip float formatting, so identical
-invocations produce byte-identical files, independent of --jobs.
+--gnuplot.  One argparse parser reads them (flags > --config file >
+defaults); each option's converter is the one check on its value, from
+a flag or a config file alike.  Scan output is CSV (or a JSON mirror of
+the same rows) with frozen headers and shortest-round-trip float
+formatting, so identical invocations produce byte-identical files,
+independent of --jobs.
 
 Exit codes: 0 success, 1 computational or I/O failure, 2 usage error.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,12 +27,12 @@ from .dynamics import ModelParams, evolve, steady_state_numeric, steady_states_n
 from .entanglement import concurrence, pair_reduced_state, triplet_to_two_qubit
 from .errors import DickeSimError
 from .semiclassical import bifurcation_scan, stable_branch_summary
-from .settings import DEFAULT, NumericSettings
+from .settings import DEFAULT
 from .spin_ops import SpinQuantum, build_jz, dicke_projector
 
 
-class UsageError(Exception):
-    """Bad arguments or config; maps to exit code 2."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad arguments or config (exit code 2); argparse names the option it came from."""
 
 
 # Work bounds, checked before anything is allocated.  Measured on one BLAS
@@ -38,7 +44,10 @@ class UsageError(Exception):
 SCAN_ROW_LIMIT = 20_000      # rows of one scan, and points of each grid
 EVOLVE_STEPS_LIMIT = 100_000  # evolve --steps
 J_LIST_LIMIT = 64            # entries of fig3 --j-list
-J_VALUE_LIMIT = 128          # the spin value of steady --j and of each fig3 --j-list entry
+J_VALUE_LIMIT = 128          # the spin value of --j and of each fig3 --j-list entry
+# --jobs: under the fork start method ProcessPoolExecutor starts all of
+# its workers at once, so an unbounded --jobs would fork that many processes
+JOBS_LIMIT = 64
 # fig1 and fig2 solve, check and score contiguous blocks of at most this
 # many rows as one stack each, and spread the blocks over --jobs; fig1
 # peaks at ~3.9 kB per row of a block (tracemalloc: 4 MB for a block of
@@ -46,10 +55,11 @@ J_VALUE_LIMIT = 128          # the spin value of steady --j and of each fig3 --j
 BLOCK_ROWS = 1024
 
 
-# ---------------------------------------------------------------- options
+# ---------------------------------------------------------------- converters
 
-# (name, converter, default, help); required options use REQUIRED
-REQUIRED = object()
+def _require_count(count, limit, what):
+    if count > limit:
+        raise UsageError(f"{what} is {count}, over the limit of {limit}")
 
 
 def _boolean(text):
@@ -61,53 +71,155 @@ def _boolean(text):
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise UsageError(f"expected a positive integer, got {text!r}")
+def _count_to(limit):
+    """A converter to an integer from 1 to limit."""
+
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"expected a positive integer, got {text!r}") from None
+        if value < 1:
+            raise UsageError(f"expected a positive integer, got {text!r}")
+        _require_count(value, limit, "the count")
+        return value
+
+    return convert
+
+
+def _finite(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite number, got {text!r}")
     return value
 
 
+def _positive(text):
+    value = _finite(text)
+    if value <= 0:
+        raise UsageError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _one_of(*choices):
+    def convert(text):
+        if text not in choices:
+            raise UsageError(f"expected {' or '.join(choices)}, got {text!r}")
+        return text
+
+    return convert
+
+
+def _spin(text):
+    """A half-integer j up to J_VALUE_LIMIT, as a SpinQuantum."""
+    try:
+        spin = SpinQuantum.from_j(text)
+    except (ValueError, DickeSimError):
+        raise UsageError(f"expected a non-negative half-integer j, got {text!r}") from None
+    if spin.j > J_VALUE_LIMIT:
+        raise UsageError(f"j = {spin.j:g} is over the limit of {J_VALUE_LIMIT}")
+    return spin
+
+
+def _pair_spins(text):
+    """fig3's comma-separated j values, each at least 1 for the pair reduction."""
+    items = str(text).split(",")
+    _require_count(len(items), J_LIST_LIMIT, "j list length")
+    spins = [_spin(item) for item in items if item.strip()]
+    if not spins or min(spins).two_j < 2:
+        raise UsageError(f"pair reduction needs a list of j >= 1, got {text!r}")
+    return spins
+
+
+def parse_grid(spec):
+    """start:stop:count (linear) or log:start:stop:count (logarithmic).
+
+    The endpoints are finite and count is at most SCAN_ROW_LIMIT.
+    """
+    parts = str(spec).split(":")
+    log = parts[0] == "log"
+    if len(parts) != 3 + log:
+        form = "log:start:stop:count" if log else "start:stop:count"
+        raise UsageError(f"grid spec needs {form}, got {spec!r}")
+    try:
+        start, stop, count = float(parts[-3]), float(parts[-2]), int(parts[-1])
+    except ValueError:
+        raise UsageError(f"malformed grid spec {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"grid endpoints must be finite, got {spec!r}")
+    if log and (start <= 0 or stop <= 0):
+        raise UsageError(f"log grid endpoints must be positive, got {spec!r}")
+    if count < 1:
+        raise UsageError(f"grid count must be >= 1, got {spec!r}")
+    _require_count(count, SCAN_ROW_LIMIT, f"grid count of {spec!r}")
+    if log:
+        return np.logspace(np.log10(start), np.log10(stop), count)
+    return np.linspace(start, stop, count)
+
+
+def _positive_grid(spec):
+    grid = parse_grid(spec)
+    if grid.min() <= 0:
+        raise UsageError(f"grid {spec!r} must be positive")
+    return grid
+
+
+def _nonnegative_grid(spec):
+    grid = parse_grid(spec)
+    if grid.min() < 0:
+        raise UsageError(f"grid {spec!r} must be >= 0")
+    return grid
+
+
+# ---------------------------------------------------------------- options
+
+# (name, converter, default, help); required options use REQUIRED
+REQUIRED = object()
+
 GLOBAL_OPTIONS = [
     ("output", str, None, "output file path (required for scan subcommands)"),
-    ("format", str, "csv", "output format: csv or json"),
-    ("jobs", _positive_int, 1, "worker processes for scan rows"),
+    ("format", _one_of("csv", "json"), "csv", "output format: csv or json"),
+    ("jobs", _count_to(JOBS_LIMIT), 1, "worker processes for scan rows"),
     ("config", str, None, "key = value config file (flags win over it)"),
-    ("tolerance", float, None, "override the working numeric tolerance"),
+    ("tolerance", _positive, None, "override the working numeric tolerance"),
     ("gnuplot", _boolean, False, "also write a gnuplot script next to the CSV"),
 ]
 
 SUBCOMMANDS = {
     "steady": [
-        ("j", float, REQUIRED, "spin quantum number (half-integer, <= 128; numeric <= 64)"),
-        ("gamma", float, None, "damping-to-drive ratio gamma_a/omega (sets omega=1)"),
-        ("omega", float, None, "drive strength (alternative to --gamma)"),
-        ("gamma-a", float, None, "decay rate (alternative to --gamma)"),
-        ("nbar", float, 0.0, "bath occupation"),
-        ("method", str, "numeric", "numeric or analytic (analytic needs nbar=0)"),
+        ("j", _spin, REQUIRED, "spin quantum number (half-integer, <= 128; numeric <= 64)"),
+        ("gamma", _finite, None, "damping-to-drive ratio gamma_a/omega (sets omega=1)"),
+        ("omega", _finite, None, "drive strength (alternative to --gamma)"),
+        ("gamma-a", _finite, None, "decay rate (alternative to --gamma)"),
+        ("nbar", _finite, 0.0, "bath occupation"),
+        ("method", _one_of("numeric", "analytic"), "numeric",
+         "numeric or analytic (analytic needs nbar=0)"),
     ],
     "evolve": [
-        ("j", float, REQUIRED, "spin quantum number (half-integer)"),
-        ("omega", float, 0.0, "drive strength"),
-        ("gamma-a", float, 0.0, "decay rate"),
-        ("nbar", float, 0.0, "bath occupation"),
-        ("t-max", float, REQUIRED, "final time"),
-        ("steps", _positive_int, 200, "number of grid intervals (rows = steps + 1)"),
-        ("initial", str, "excited", "initial state: excited or ground"),
+        ("j", _spin, REQUIRED, "spin quantum number (half-integer, <= 128; evolve runs j <= 16)"),
+        ("omega", _finite, 0.0, "drive strength"),
+        ("gamma-a", _finite, 0.0, "decay rate"),
+        ("nbar", _finite, 0.0, "bath occupation"),
+        ("t-max", _positive, REQUIRED, "final time"),
+        ("steps", _count_to(EVOLVE_STEPS_LIMIT), 200, "number of grid intervals (rows = steps + 1)"),
+        ("initial", _one_of("excited", "ground"), "excited", "initial state: excited or ground"),
     ],
     "fig1": [
-        ("gamma-grid", str, "log:0.01:100:41", "gamma grid spec"),
-        ("nbar-grid", str, "0:3:4", "nbar grid spec"),
+        ("gamma-grid", _positive_grid, "log:0.01:100:41", "gamma grid spec"),
+        ("nbar-grid", _nonnegative_grid, "0:3:4", "nbar grid spec"),
     ],
     "fig2": [
-        ("gamma-grid", str, "log:0.001:1000:121", "gamma grid spec"),
+        ("gamma-grid", _positive_grid, "log:0.001:1000:121", "gamma grid spec"),
     ],
     "fig3": [
-        ("j-list", str, "1,4,16,64", "comma-separated spin values (each 1 <= j <= 128)"),
-        ("omega-r-grid", str, "0.05:3:60", "scaled-drive grid spec"),
+        ("j-list", _pair_spins, "1,4,16,64", "comma-separated spin values (each 1 <= j <= 128)"),
+        ("omega-r-grid", _positive_grid, "0.05:3:60", "scaled-drive grid spec"),
     ],
     "semiclassical": [
-        ("omega-r-grid", str, "0.05:2:40", "scaled-drive grid spec"),
+        ("omega-r-grid", _nonnegative_grid, "0.05:2:40", "scaled-drive grid spec"),
     ],
 }
 
@@ -122,50 +234,48 @@ HEADERS = {
 
 # ---------------------------------------------------------------- parsing
 
-def _parse_argv(argv):
-    """Split argv into (subcommand, {option: raw string}) with no argparse.
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
 
-    Hand-rolled so that config-file merging and the three-way precedence
-    (flags > config > defaults) stay explicit and testable.
+
+def _build_parser(config_sub=None, config=None):
+    """The front end; config ({dest: raw string}) replaces config_sub's defaults.
+
+    argparse runs string defaults through the converters, so config
+    values get the same checks as flags.
     """
-    if not argv:
-        raise UsageError(
-            "missing subcommand; expected one of: " + ", ".join(sorted(SUBCOMMANDS))
+    parser = _Parser(prog="dickesim", allow_abbrev=False,
+                     epilog="run 'dickesim SUBCOMMAND --help' for its options")
+    subparsers = parser.add_subparsers(
+        dest="subcommand", required=True, title="subcommands", metavar="SUBCOMMAND"
+    )
+    for sub, command in DISPATCH.items():
+        sub_parser = subparsers.add_parser(
+            sub, help=command.__doc__, description=command.__doc__, allow_abbrev=False
         )
-    sub = argv[0]
-    if sub in ("-h", "--help"):
-        return "help", {}
-    if sub not in SUBCOMMANDS:
-        raise UsageError(f"unknown subcommand {sub!r}")
+        for name, convert, default, text in SUBCOMMANDS[sub] + GLOBAL_OPTIONS:
+            text += " (required)" if default is REQUIRED else f" (default: {default})"
+            # --gnuplot alone means yes; --gnuplot=no and gnuplot = no mean no
+            flag = {"nargs": "?", "const": True} if convert is _boolean else {}
+            sub_parser.add_argument(
+                f"--{name}", type=convert, default=None if default is REQUIRED else default,
+                help=text, **flag,
+            )
+        if sub == config_sub:
+            sub_parser.set_defaults(**config)
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser without a config file, built once per process (~1.7 ms a build)."""
+    return _build_parser()
+
+
+def _read_config(path, sub):
+    """A key = value file, # starting a comment, as {option dest: raw string}."""
     known = {name for name, *_ in SUBCOMMANDS[sub] + GLOBAL_OPTIONS}
-    raw = {}
-    k = 1
-    while k < len(argv):
-        token = argv[k]
-        if token in ("-h", "--help"):
-            return "help", {"topic": sub}
-        if not token.startswith("--"):
-            raise UsageError(f"unexpected positional argument {token!r}")
-        body = token[2:]
-        if "=" in body:
-            name, value = body.split("=", 1)
-        else:
-            name = body
-            if name == "gnuplot":  # the only flag-style option
-                value = "true"
-            else:
-                k += 1
-                if k >= len(argv):
-                    raise UsageError(f"option --{name} expects a value")
-                value = argv[k]
-        if name not in known:
-            raise UsageError(f"unknown option --{name} for subcommand {sub!r}")
-        raw[name] = value
-        k += 1
-    return sub, raw
-
-
-def _read_config(path):
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -175,97 +285,33 @@ def _read_config(path):
             if "=" not in stripped:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, value = stripped.split("=", 1)
-            values[key.strip().replace("_", "-")] = value.strip()
+            key = key.strip().replace("_", "-")
+            if key not in known:
+                raise UsageError(f"unknown config key {key!r} for subcommand {sub!r}")
+            values[key.replace("-", "_")] = value.strip()
     return values
 
 
-def _resolve(sub, raw):
-    """Apply precedence flags > config > defaults and convert types."""
-    table = SUBCOMMANDS[sub] + GLOBAL_OPTIONS
-    known = {name for name, *_ in table}
-    config = {}
-    if "config" in raw:
-        config = _read_config(raw.pop("config"))
-        for key in config:
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r} for subcommand {sub!r}")
-    merged = {}
-    for name, conv, default, _help in table:
-        if name in raw:
-            source = raw[name]
-        elif name in config:
-            source = config[name]
-        else:
-            if default is REQUIRED:
-                raise UsageError(f"missing required option --{name}")
-            merged[name.replace("-", "_")] = default
-            continue
-        try:
-            merged[name.replace("-", "_")] = conv(source)
-        except (ValueError, TypeError):
-            raise UsageError(f"bad value for --{name}: {source!r}")
-    return merged
-
-
-def _require_count(count, limit, what):
-    if count > limit:
-        raise UsageError(f"{what} is {count}, over the limit of {limit}")
-
-
-def parse_grid(spec):
-    """start:stop:count (linear) or log:start:stop:count (logarithmic).
-
-    count is at most SCAN_ROW_LIMIT.
-    """
-    parts = str(spec).split(":")
-    try:
-        if parts[0] == "log":
-            if len(parts) != 4:
-                raise UsageError(f"log grid spec needs log:start:stop:count, got {spec!r}")
-            start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-            if start <= 0 or stop <= 0:
-                raise UsageError(f"log grid endpoints must be positive, got {spec!r}")
-        else:
-            if len(parts) != 3:
-                raise UsageError(f"grid spec needs start:stop:count, got {spec!r}")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError(f"malformed grid spec {spec!r}")
-    if count < 1:
-        raise UsageError(f"grid count must be >= 1, got {spec!r}")
-    _require_count(count, SCAN_ROW_LIMIT, f"grid count of {spec!r}")
-    if parts[0] == "log":
-        return np.logspace(np.log10(start), np.log10(stop), count)
-    return np.linspace(start, stop, count)
-
-
-def _require_spin(spin):
-    if spin.j > J_VALUE_LIMIT:
-        raise UsageError(f"j = {spin.j:g} is over the limit of {J_VALUE_LIMIT}")
-    return spin
-
-
-def _parse_j_list(text):
-    items = str(text).split(",")
-    _require_count(len(items), J_LIST_LIMIT, "j list length")
-    out = []
-    for item in items:
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            spin = SpinQuantum.from_j(float(item))
-        except (ValueError, DickeSimError):
-            raise UsageError(f"bad j value {item!r} in j list")
-        out.append(_require_spin(spin))
-    if not out:
-        raise UsageError("j list is empty")
-    return out
-
-
-def _settings_from(options) -> NumericSettings:
-    tol = options.get("tolerance")
-    return DEFAULT if tol is None else DEFAULT.with_working_tolerance(tol)
+def _parse(argv):
+    """(subcommand, options): flags > config file > table defaults."""
+    options = vars(_parser().parse_args(argv))
+    sub = options.pop("subcommand")
+    if options["config"] is not None:
+        # a fresh parser, so that no later call sees this file's values
+        config = _read_config(options["config"], sub)
+        options = vars(_build_parser(sub, config).parse_args(argv))
+        del options["subcommand"]
+    for name, _convert, default, _help in SUBCOMMANDS[sub]:
+        if default is REQUIRED and options[name.replace("-", "_")] is None:
+            raise UsageError(f"missing required option --{name}")
+    if sub in HEADERS:  # the subcommands that write rows
+        if options["output"] is None:
+            raise UsageError(f"subcommand {sub!r} requires --output")
+        if options["gnuplot"] and options["format"] != "csv":
+            raise UsageError("--gnuplot requires --format csv")
+    tol = options.pop("tolerance")
+    options["settings"] = DEFAULT if tol is None else DEFAULT.with_working_tolerance(tol)
+    return sub, options
 
 
 # ---------------------------------------------------------------- output
@@ -278,13 +324,8 @@ def _fmt(value):
 
 def _write_rows(options, sub, rows):
     header = HEADERS[sub]
-    path = options.get("output")
-    if path is None:
-        raise UsageError(f"subcommand {sub!r} requires --output")
-    fmt = options["format"]
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {fmt!r} (expected csv or json)")
-    if fmt == "csv":
+    path = options["output"]
+    if options["format"] == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
@@ -297,8 +338,6 @@ def _write_rows(options, sub, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     if options["gnuplot"]:
-        if fmt != "csv":
-            raise UsageError("--gnuplot requires --format csv")
         script = (
             'set datafile separator ","\n'
             "set key autotitle columnhead\n"
@@ -367,11 +406,9 @@ def _semiclassical_row(task):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_steady(options):
-    settings = _settings_from(options)
-    spin = _require_spin(SpinQuantum.from_j(options["j"]))
-    method = options["method"]
-    if method not in ("numeric", "analytic"):
-        raise UsageError(f"unknown method {options['method']!r}")
+    """Stationary state for one parameter set."""
+    settings = options["settings"]
+    spin, method = options["j"], options["method"]
 
     if options["gamma"] is not None:
         if options["omega"] is not None or options["gamma_a"] is not None:
@@ -438,20 +475,16 @@ def _cmd_steady(options):
 
 
 def _cmd_evolve(options):
-    _require_count(options["steps"], EVOLVE_STEPS_LIMIT, "--steps")
-    settings = _settings_from(options)
-    spin = SpinQuantum.from_j(options["j"])
+    """Master-equation trajectory to CSV/JSON."""
+    settings = options["settings"]
+    spin = options["j"]
     params = ModelParams(
         j=spin, omega=options["omega"], gamma_a=options["gamma_a"], nbar=options["nbar"]
     )
-    if options["t_max"] <= 0:
-        raise UsageError("--t-max must be positive")
-    if options["initial"] not in ("excited", "ground"):
-        raise UsageError(f"unknown initial state {options['initial']!r}")
     rho0 = dicke_projector(spin, spin.j if options["initial"] == "excited" else -spin.j)
     times = np.linspace(0.0, options["t_max"], options["steps"] + 1)
     trajectory = evolve(rho0, params, times, settings)
-    states = np.asarray(trajectory.states)
+    states = trajectory.states
     jz_expect = np.einsum("tij,ji->t", states, build_jz(spin)).real
     if spin.two_j == 2:
         c = concurrence(triplet_to_two_qubit(states, settings), settings).tolist()
@@ -466,39 +499,27 @@ def _cmd_evolve(options):
 
 
 def _cmd_fig1(options):
-    settings = _settings_from(options)
-    gammas = parse_grid(options["gamma_grid"])
-    nbars = parse_grid(options["nbar_grid"])
-    if np.any(gammas <= 0):
-        raise UsageError("fig1 gamma grid must be positive")
-    if np.any(nbars < 0):
-        raise UsageError("fig1 nbar grid must be >= 0")
+    """Two-ion concurrence vs gamma and nbar (numeric path)."""
+    gammas, nbars = options["gamma_grid"], options["nbar_grid"]
     _require_count(len(gammas) * len(nbars), SCAN_ROW_LIMIT, "fig1 row count")
     columns = (np.repeat(gammas, len(nbars)), np.tile(nbars, len(gammas)))
-    rows = _map_blocks(_fig1_block, columns, settings, options["jobs"])
+    rows = _map_blocks(_fig1_block, columns, options["settings"], options["jobs"])
     _write_rows(options, "fig1", rows)
     return 0
 
 
 def _cmd_fig2(options):
-    settings = _settings_from(options)
-    gammas = parse_grid(options["gamma_grid"])
-    if np.any(gammas <= 0):
-        raise UsageError("fig2 gamma grid must be positive")
-    rows = _map_blocks(_fig2_block, (gammas,), settings, options["jobs"])
+    """Zero-temperature two-ion concurrence vs gamma (closed form)."""
+    gammas = options["gamma_grid"]
+    rows = _map_blocks(_fig2_block, (gammas,), options["settings"], options["jobs"])
     _write_rows(options, "fig2", rows)
     return 0
 
 
 def _cmd_fig3(options):
-    settings = _settings_from(options)
-    spins = _parse_j_list(options["j_list"])
-    for spin in spins:
-        if spin.two_j < 2:
-            raise UsageError(f"fig3 needs j >= 1 for pair reduction, got {spin.j}")
-    omega_rs = parse_grid(options["omega_r_grid"])
-    if np.any(omega_rs <= 0):
-        raise UsageError("fig3 omega_r grid must be positive")
+    """Pair concurrence vs scaled drive for several j."""
+    settings = options["settings"]
+    spins, omega_rs = options["j_list"], options["omega_r_grid"]
     _require_count(len(spins) * len(omega_rs), SCAN_ROW_LIMIT, "fig3 row count")
     tasks = [(s.two_j, float(w), settings) for s in spins for w in omega_rs]
     rows = _map_rows(_fig3_row, tasks, options["jobs"])
@@ -507,13 +528,11 @@ def _cmd_fig3(options):
 
 
 def _cmd_semiclassical(options):
-    settings = _settings_from(options)
-    omega_rs = parse_grid(options["omega_r_grid"])
-    if np.any(omega_rs < 0):
-        raise UsageError("semiclassical omega_r grid must be >= 0")
+    """Mean-field branch data and the critical drive."""
+    omega_rs = options["omega_r_grid"]
     tasks = [(float(w),) for w in omega_rs]
     rows = _map_rows(_semiclassical_row, tasks, options["jobs"])
-    critical = bifurcation_scan(omega_rs, settings)  # raises if grid misses it
+    critical = bifurcation_scan(omega_rs, options["settings"])  # raises if grid misses it
     _write_rows(options, "semiclassical", rows)
     sys.stdout.write(f"critical omega_r = {critical:.6f}\n")
     return 0
@@ -529,38 +548,12 @@ DISPATCH = {
 }
 
 
-def _print_help(topic=None):
-    if topic in SUBCOMMANDS:
-        sys.stdout.write(f"usage: dickesim {topic} [options]\n\noptions:\n")
-        for name, _conv, default, help_text in SUBCOMMANDS[topic] + GLOBAL_OPTIONS:
-            suffix = " (required)" if default is REQUIRED else f" (default: {default})"
-            sys.stdout.write(f"  --{name:<16} {help_text}{suffix}\n")
-        return
-    sys.stdout.write(
-        "usage: dickesim SUBCOMMAND [options]\n\n"
-        "subcommands:\n"
-        "  steady         stationary state for one parameter set\n"
-        "  evolve         master-equation trajectory to CSV/JSON\n"
-        "  fig1           concurrence vs gamma and nbar (numeric path)\n"
-        "  fig2           zero-temperature concurrence vs gamma (closed form)\n"
-        "  fig3           pair concurrence vs scaled drive for several j\n"
-        "  semiclassical  mean-field branch data and the critical drive\n\n"
-        "global options: --output PATH, --format csv|json, --jobs N,\n"
-        "                --config PATH, --tolerance X, --gnuplot\n"
-        "run 'dickesim SUBCOMMAND --help' for per-subcommand options\n"
-    )
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        sub, raw = _parse_argv(list(argv))
-        if sub == "help":
-            _print_help(raw.get("topic"))
-            return 0
-        options = _resolve(sub, raw)
+        sub, options = _parse(sys.argv[1:] if argv is None else list(argv))
         return DISPATCH[sub](options)
+    except SystemExit:  # argparse exits only after printing --help; errors raise
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

@@ -98,19 +98,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulation output: times[k] paired with density matrix states[k]."""
+    """Simulation output: times[k] paired with density matrix states[k].
+
+    states is one (T, d, d) complex array.
+    """
 
     times: np.ndarray
-    states: tuple
+    states: np.ndarray
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValidationError("times and states lengths differ")
-
-    def expectations(self, operator) -> np.ndarray:
-        """tr(rho_k A) along the trajectory."""
-        A = np.asarray(operator, dtype=complex)
-        return np.array([np.einsum("ij,ji->", rho, A) for rho in self.states])
 
 
 def check_hermitian_unit_trace(rho, settings: NumericSettings = DEFAULT, name="rho"):
@@ -192,15 +190,6 @@ def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"
     for start in range(0, len(states), size):
         check_states(states[start:start + size], settings, lambda k: label(start + k))
     return rho
-
-
-def vec(rho) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(rho, dtype=complex).flatten(order="F")
-
-
-def unvec(x, dim) -> np.ndarray:
-    return np.asarray(x, dtype=complex).reshape(dim, dim, order="F")
 
 
 @functools.lru_cache(maxsize=64)
@@ -447,7 +436,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
         part[(slice(None), *triangle[::-1])] = sign * x
     states *= ph
     validate_density_matrix(states, settings, lambda k: f"state at t={t_grid[k]:g}")
-    return Trajectory(times=t_grid, states=tuple(states))
+    return Trajectory(times=t_grid, states=states)
 
 
 def _require_unique_steady(omega, gamma_a, nbar):

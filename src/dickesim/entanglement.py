@@ -45,10 +45,6 @@ def _as_two_qubit(rho, name):
     return rho
 
 
-def validate_two_qubit_state(rho, settings: NumericSettings = DEFAULT, name="rho"):
-    return validate_density_matrix(_as_two_qubit(rho, name), settings, name)
-
-
 def concurrence(rho, settings: NumericSettings = DEFAULT):
     """Wootters concurrence C(rho) of a two-qubit state, or of a stack of them.
 
@@ -148,4 +144,4 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
         [np.conj(a), pm, mid, b],
         [pp, np.conj(b), np.conj(b), (1.0 - 2.0 * one_z + zz) / 4.0],
     ], dtype=complex)
-    return validate_two_qubit_state(out, settings, "pair-reduced state")
+    return validate_density_matrix(out, settings, "pair-reduced state")

@@ -93,30 +93,13 @@ def meanfield_rhs(s, omega_r) -> np.ndarray:
 
 
 def _jacobian_kernel(s, omega_r) -> np.ndarray:
-    """meanfield_jacobian without input checks, for callers that validated already."""
+    """Analytic 3x3 Jacobian of meanfield_rhs, without input checks."""
     sx, sy, sz = s
     return np.array([
         [sz, 0.0, sx],
         [0.0, sz, sy - omega_r],
         [-2.0 * sx, omega_r - 2.0 * sy, 0.0],
     ])
-
-
-def meanfield_jacobian(s, omega_r) -> np.ndarray:
-    """Analytic 3x3 Jacobian of meanfield_rhs."""
-    return _jacobian_kernel(_as_bloch(s), _check_omega_r(omega_r))
-
-
-def jacobian_eigenvalues(point, omega_r, settings: NumericSettings = DEFAULT) -> np.ndarray:
-    """Jacobian spectrum at an equilibrium (all three eigenvalues)."""
-    point = _as_bloch(point)
-    omega_r = _check_omega_r(omega_r)
-    resid = float(np.linalg.norm(_rhs_kernel(point, omega_r)))
-    if resid > settings.fixed_point_resid:
-        raise ValidationError(
-            f"not a fixed point: |rhs| = {resid:.3e} > {settings.fixed_point_resid:.1e}"
-        )
-    return np.linalg.eigvals(_jacobian_kernel(point, omega_r))
 
 
 def _transverse(eigs):

@@ -8,6 +8,7 @@ of magnitude of headroom on each check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -19,7 +20,6 @@ class NumericSettings:
     null_rtol: float = 1e-9           # ||A x|| <= null_rtol * ||A||_F for null vectors
     null_gap_rtol: float = 1e-8       # 1 / kappa_1(bordered matrix) below this means degenerate;
                                       # kappa_1 is exact on the dense route, estimated on SuperLU
-    fixed_point_resid: float = 1e-8   # residual accepted when classifying equilibria
     bifurcation_tol: float = 1e-6     # bisection bracket width for the critical drive
 
     def with_working_tolerance(self, tol: float) -> "NumericSettings":
@@ -30,8 +30,8 @@ class NumericSettings:
         and has no accuracy knob.  Validation thresholds stay put.
         """
         tol = float(tol)
-        if not tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
         return replace(self, null_rtol=tol)
 
 

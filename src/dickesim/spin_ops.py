@@ -71,11 +71,6 @@ def build_jminus(spin) -> np.ndarray:
     return np.diag(ladder_coefficients(spin), -1).astype(complex)
 
 
-def build_jplus(spin) -> np.ndarray:
-    """Raising operator J+ = (J-)^dag."""
-    return build_jminus(spin).conj().T
-
-
 def build_jz(spin) -> np.ndarray:
     """Diagonal J_z in the descending-m basis."""
     return np.diag(m_values(spin)).astype(complex)
@@ -90,15 +85,3 @@ def dicke_projector(spin, m) -> np.ndarray:
     rho = np.zeros((s.dim, s.dim), dtype=complex)
     rho[int(round(idx)), int(round(idx))] = 1.0
     return rho
-
-
-def expectation(rho, operator) -> complex:
-    """tr(rho A) for matching square matrices."""
-    rho = np.asarray(rho, dtype=complex)
-    A = np.asarray(operator, dtype=complex)
-    if rho.shape != A.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValidationError(
-            f"shape mismatch in expectation: state {rho.shape}, operator {A.shape}"
-        )
-    # tr(rho A) = sum_ij rho_ij A_ji without forming the product
-    return complex(np.einsum("ij,ji->", rho, A))

@@ -13,9 +13,8 @@ from dickesim import (
     steady_state_analytic,
     steady_state_numeric,
     validate_density_matrix,
-    vec,
 )
-from util import trace_distance
+from util import trace_distance, vec
 
 
 def exact_trace_oracle(two_j, gamma):

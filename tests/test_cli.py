@@ -45,7 +45,8 @@ def test_parse_grid_log():
 
 
 @pytest.mark.parametrize(
-    "spec", ["1:2", "a:b:c", "log:0:1:5", "log:1:2", "1:2:0", "log:1:2:-3"]
+    "spec", ["1:2", "a:b:c", "log:0:1:5", "log:1:2", "1:2:0", "log:1:2:-3",
+             "nan:1:3", "0:inf:3", "log:0.5:inf:3", "log:nan:1:3"]
 )
 def test_parse_grid_rejects_malformed(spec):
     with pytest.raises(UsageError):
@@ -135,6 +136,16 @@ def test_steady_tolerance_flag_accepted(tmp_path):
         ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "-2", "--output", "x.csv"],
         ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "1", "--steps", "0", "--output", "x.csv"],
         ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "1", "--initial", "sideways", "--output", "x.csv"],
+        ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "nan", "--output", "x.csv"],
+        ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "inf", "--output", "x.csv"],
+        ["fig3", "--omega-r-grid", "0.5:inf:3", "--output", "x.csv"],
+        ["fig1", "--nbar-grid", "nan:1:3", "--output", "x.csv"],
+        ["semiclassical", "--omega-r-grid", "0.5:-inf:3", "--output", "x.csv"],
+        ["steady", "--j", "1", "--gamma", "1", "--tolerance", "-1"],
+        ["steady", "--j", "1", "--gamma", "1", "--tolerance", "0"],
+        ["steady", "--j", "1", "--gamma", "1", "--tolerance", "nan"],
+        ["steady", "--j", "1", "--gamma", "1", "--tolerance", "inf"],
+        ["steady", "--j", "1", "--gamma", "1", "--nb", "0.3"],  # no abbreviations
     ],
 )
 def test_usage_errors_exit_2(args, capsys):
@@ -150,6 +161,8 @@ def test_usage_errors_exit_2(args, capsys):
         ["fig1", "--gamma-grid", "log:0.01:100:20000", "--nbar-grid", "0:3:20000"],
         ["fig3", "--j-list", ",".join(["1"] * 65)],
         ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "1", "--steps", "1000000000000"],
+        # checked when the options are read, so also where no worker would start
+        ["steady", "--j", "1", "--gamma", "1", "--method", "analytic", "--jobs", "100000"],
     ],
 )
 def test_work_bounds_exit_2_before_allocating(args, tmp_path, capsys):
@@ -190,6 +203,13 @@ def test_help_paths(capsys):
     assert "subcommands" in capsys.readouterr().out
     assert run_cli(["steady", "--help"]) == 0
     assert "--gamma" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
+def test_every_subcommand_has_help(sub, capsys):
+    assert run_cli([sub, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"--{name}" in out for name, *_ in cli.SUBCOMMANDS[sub] + cli.GLOBAL_OPTIONS)
 
 
 # ---------------------------------------------------------------- evolve
@@ -490,6 +510,40 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     rc = run_cli(["steady", "--j", "1", "--config", str(cfg)])
     assert rc == 2
     assert "wibble" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["method = magic", "tolerance = -1"])
+def test_config_values_get_the_flag_checks(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "never.txt"
+    rc = run_cli(["steady", "--j", "1", "--gamma", "1", "--config", str(cfg), "--output", str(out)])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_does_not_outlive_its_call(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = analytic\n", encoding="utf-8")
+    with_config, _ = steady_json(tmp_path, "cfg.json", ["--j", "1", "--gamma", "1", "--config", str(cfg)])
+    without, _ = steady_json(tmp_path, "plain.json", ["--j", "1", "--gamma", "1"])
+    assert with_config["method"] == "analytic"
+    assert without["method"] == "numeric"  # the table default
+
+
+@pytest.mark.parametrize("flags, config, written", [
+    (["--gnuplot=no"], "", False),
+    ([], "gnuplot = no\n", False),
+    ([], "gnuplot = yes\n", True),
+])
+def test_gnuplot_value_forms(tmp_path, flags, config, written):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    out = tmp_path / "fig2.csv"
+    args = ["fig2", "--gamma-grid", "log:0.5:2:3", "--output", str(out), "--config", str(cfg)]
+    assert run_cli(args + flags) == 0
+    assert (tmp_path / "fig2.csv.gp").exists() == written
 
 
 def test_config_rejects_bad_line(tmp_path, capsys):

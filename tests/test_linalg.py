@@ -113,6 +113,14 @@ def test_null_vector_agrees_with_svd_oracle(m):
     assert _phase_free_gap(x, expected) <= 2.0 * resid / s[-2] + 1e-12
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_working_tolerance_must_be_finite_and_positive(tol):
+    # an infinite null_rtol would accept any vector as a null vector
+    with pytest.raises(ValueError):
+        DEFAULT.with_working_tolerance(tol)
+    assert DEFAULT.with_working_tolerance(1e-12).null_rtol == 1e-12
+
+
 @pytest.mark.parametrize("n", [7, 200])  # dense and SuperLU factorisation
 @pytest.mark.parametrize("kind", ["csc_array", "csr_matrix", "coo_array"])
 def test_null_vector_sparse_input(kind, n):

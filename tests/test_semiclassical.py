@@ -10,11 +10,10 @@ from dickesim import (
     bifurcation_scan,
     find_fixed_points,
     integrate_meanfield,
-    jacobian_eigenvalues,
-    meanfield_jacobian,
     meanfield_rhs,
     stable_branch_summary,
 )
+from dickesim.semiclassical import _jacobian_kernel
 from util import finite_difference_jacobian, meanfield_dop853
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -60,37 +59,37 @@ def test_rhs_validation():
 def test_jacobian_matches_finite_differences(sx, sy, sz, omega_r):
     s = np.array([sx, sy, sz])
     gap = np.abs(
-        meanfield_jacobian(s, omega_r) - finite_difference_jacobian(s, omega_r)
+        _jacobian_kernel(s, omega_r) - finite_difference_jacobian(s, omega_r)
     ).max()
     assert gap < 1e-5
 
 
+# the spectra find_fixed_points reports, at its attracting point (listed
+# first) where there is one
+
 def test_jacobian_spectrum_at_undriven_south_pole():
-    eigs = np.sort(jacobian_eigenvalues([0.0, 0.0, -1.0], 0.0).real)
+    report = find_fixed_points(0.0)[0]
+    assert report.point == pytest.approx([0.0, 0.0, -1.0], abs=1e-12)
+    eigs = np.sort(report.jacobian_eigenvalues.real)
     assert eigs == pytest.approx([-1.0, -1.0, 0.0], abs=1e-12)
 
 
 def test_jacobian_spectrum_below_transition():
     # transverse pair equals sz twice, plus the structural zero mode
-    eigs = jacobian_eigenvalues([0.0, 0.6, -0.8], 0.6)
+    report = find_fixed_points(0.6)[0]
+    assert report.point == pytest.approx([0.0, 0.6, -0.8], abs=1e-10)
+    eigs = report.jacobian_eigenvalues
     assert np.sort(eigs.real) == pytest.approx([-0.8, -0.8, 0.0], abs=1e-12)
     assert np.abs(eigs.imag).max() < 1e-12
 
 
 def test_jacobian_spectrum_above_transition():
     # rotation centers: zero mode plus a conjugate pair +/- i sqrt(w^2 - 1)
-    omega_r = 1.5
-    point = find_fixed_points(omega_r)[0].point
-    eigs = jacobian_eigenvalues(point, omega_r)
+    eigs = find_fixed_points(1.5)[0].jacobian_eigenvalues
     assert np.abs(eigs.real).max() < 1e-9
     assert np.sort(np.abs(eigs.imag)) == pytest.approx(
         [0.0, np.sqrt(1.25), np.sqrt(1.25)], abs=1e-9
     )
-
-
-def test_jacobian_eigenvalues_rejects_non_equilibrium():
-    with pytest.raises(ValidationError, match="not a fixed point"):
-        jacobian_eigenvalues([0.5, 0.5, 0.5], 0.6)
 
 
 # ---------------------------------------------------------------- equilibria

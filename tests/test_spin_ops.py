@@ -6,13 +6,11 @@ from dickesim import (
     SpinQuantum,
     ValidationError,
     build_jminus,
-    build_jplus,
     build_jz,
     dicke_projector,
-    expectation,
     m_values,
 )
-from util import random_density
+from util import build_jplus, expectation, random_density
 
 
 # ---------------------------------------------------------------- SpinQuantum

@@ -12,9 +12,9 @@ from dickesim import (
     SpinQuantum,
     ValidationError,
     build_jminus,
+    m_values,
     meanfield_rhs,
     validate_density_matrix,
-    validate_two_qubit_state,
 )
 from dickesim.linalg import as_complex_matrix
 
@@ -30,6 +30,40 @@ def random_density(rng, dim, rank=None):
     x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def vec(rho):
+    """Column-stacking vectorization."""
+    return np.asarray(rho, dtype=complex).flatten(order="F")
+
+
+def unvec(x, dim):
+    return np.asarray(x, dtype=complex).reshape(dim, dim, order="F")
+
+
+def expectation(rho, operator):
+    """tr(rho A) for matching square matrices."""
+    rho = np.asarray(rho, dtype=complex)
+    A = np.asarray(operator, dtype=complex)
+    if rho.shape != A.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValidationError(
+            f"shape mismatch in expectation: state {rho.shape}, operator {A.shape}"
+        )
+    return complex(np.einsum("ij,ji->", rho, A))
+
+
+def build_jplus(j):
+    """J+ |j, m> = sqrt(j(j+1) - m(m+1)) |j, m+1>, one column at a time.
+
+    Built from the textbook formula, independently of build_jminus;
+    every radicand is exact in double precision, so J+ equals the
+    adjoint of J- bit for bit.
+    """
+    m = m_values(j)
+    out = np.zeros((len(m), len(m)), dtype=complex)
+    for col in range(1, len(m)):
+        out[col - 1, col] = np.sqrt(j * (j + 1) - m[col] * (m[col] + 1))
+    return out
 
 
 def random_unitary(rng, dim):
@@ -149,11 +183,11 @@ def pair_reduced_brute_force(rho, spin):
     blocks = full.reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
     out = np.einsum("arbr->ab", blocks)
     out = 0.5 * (out + out.conj().T)
-    return validate_two_qubit_state(out, name="pair-reduced state (brute force)")
+    return validate_density_matrix(out, name="pair-reduced state (brute force)")
 
 
 def finite_difference_jacobian(s, omega_r, step=1e-6):
-    """Central-difference Jacobian, the independent check on meanfield_jacobian."""
+    """Central-difference Jacobian, the independent check on semiclassical._jacobian_kernel."""
     s = np.asarray(s, dtype=float)
     out = np.zeros((3, 3))
     for k in range(3):
