@@ -348,12 +348,14 @@ def _write_rows(options, sub, rows):
 
 
 def _map_rows(worker, tasks, jobs):
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # executor.map preserves input order, keeping output deterministic
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+        # at most one worker per task, as the executor forks all of them at
+        # once; executor.map preserves input order, keeping output deterministic
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     return [worker(task) for task in tasks]
 
 
@@ -395,12 +397,6 @@ def _fig3_row(task):
     rho = steady_state_analytic(spin, gamma)
     value = concurrence(pair_reduced_state(rho, spin, settings), settings)
     return (spin.j, omega_r, value)
-
-
-def _semiclassical_row(task):
-    (omega_r,) = task
-    sz, rate = stable_branch_summary(omega_r)
-    return (omega_r, sz, rate)
 
 
 # ------------------------------------------------------------- subcommands
@@ -530,10 +526,9 @@ def _cmd_fig3(options):
 def _cmd_semiclassical(options):
     """Mean-field branch data and the critical drive."""
     omega_rs = options["omega_r_grid"]
-    tasks = [(float(w),) for w in omega_rs]
-    rows = _map_rows(_semiclassical_row, tasks, options["jobs"])
+    sz, rate = stable_branch_summary(omega_rs)
     critical = bifurcation_scan(omega_rs, options["settings"])  # raises if grid misses it
-    _write_rows(options, "semiclassical", rows)
+    _write_rows(options, "semiclassical", zip(omega_rs.tolist(), sz.tolist(), rate.tolist()))
     sys.stdout.write(f"critical omega_r = {critical:.6f}\n")
     return 0
 

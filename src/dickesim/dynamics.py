@@ -20,7 +20,7 @@ states are checked in bounded chunks.  Steady states are solved in the
 same gauge, as the kernel of the real d^2 x d^2 generator: one state
 at a time (steady_state_numeric), or a whole parameter grid of small
 spins as one stack (steady_states_numeric).  scipy is imported only by
-evolve and build_liouvillian.
+evolve (scipy.linalg, for expm) and build_liouvillian (scipy.sparse).
 """
 
 from __future__ import annotations
@@ -414,7 +414,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
             f"{EXPM_WORK_LIMIT:.0e}; use a uniform grid or fewer distinct steps"
         )
 
-    L = build_liouvillian(p)
+    values = _generator_values(p.j.two_j, p.omega, p.gamma_a, p.nbar)
     y0 = rho0 * ph.conj()
     states = np.zeros((n_times, d, d), dtype=complex)
     for (n, triangle, take, flat, unit), part, y, sign in (
@@ -426,7 +426,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
             continue  # the blocks never mix, so a zero block stays zero
         x = np.empty((n_times, n))
         x[0] = x0
-        gen = np.bincount(flat, weights=(unit * L.data[take]).real, minlength=n * n)
+        gen = np.bincount(flat, weights=(unit * values[take]).real, minlength=n * n)
         gen = gen.reshape(n, n)
         for start, stop in runs:
             propagator = scipy.linalg.expm(gen * steps[start])

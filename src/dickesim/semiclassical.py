@@ -21,6 +21,14 @@ branches collide at sz = 0 and for larger drives only neutrally stable
 rotation centers remain.  bifurcation_scan locates that loss of
 attraction by bisection.
 
+Both equilibria are known in closed form, so one pass handles a whole
+1-D array of drives: it builds the (k, 2, 3) points, checks their
+residuals (the closed forms sit on the flow's zeros to rounding, so no
+Newton polish follows), takes one eigvals of the (k, 2, 3, 3) Jacobian
+stack and ranks the branches with array filters.  stable_branch_summary
+on an array, bifurcation_scan's grid and find_fixed_points all read it;
+a bisection step is the pass on one drive.
+
 The flow is a rotation about x plus a conformal boost toward -z, and
 both are Moebius maps of the Bloch sphere (Carmichael, J. Phys. B 13,
 3551 (1980)).  On a 2-spinor psi with s = r psi^dag sigma psi /
@@ -78,13 +86,13 @@ def _check_omega_r(omega_r):
 
 
 def _rhs_kernel(s, omega_r) -> np.ndarray:
-    """meanfield_rhs without input checks, for callers that validated already."""
-    sx, sy, sz = s
-    return np.array([
+    """meanfield_rhs without input checks; s may be a (..., 3) stack."""
+    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    return np.stack([
         sz * sx,
         sz * sy - omega_r * sz,
         omega_r * sy - sx * sx - sy * sy,
-    ])
+    ], axis=-1)
 
 
 def meanfield_rhs(s, omega_r) -> np.ndarray:
@@ -93,35 +101,54 @@ def meanfield_rhs(s, omega_r) -> np.ndarray:
 
 
 def _jacobian_kernel(s, omega_r) -> np.ndarray:
-    """Analytic 3x3 Jacobian of meanfield_rhs, without input checks."""
-    sx, sy, sz = s
-    return np.array([
-        [sz, 0.0, sx],
-        [0.0, sz, sy - omega_r],
-        [-2.0 * sx, omega_r - 2.0 * sy, 0.0],
-    ])
+    """Analytic Jacobian of meanfield_rhs, without input checks.
+
+    s may be a (..., 3) stack, with omega_r broadcasting against
+    s[..., 0]; the result is (..., 3, 3).
+    """
+    s = np.asarray(s, dtype=float)
+    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    out = np.zeros(s.shape + (3,))
+    out[..., 0, 0] = out[..., 1, 1] = sz
+    out[..., 0, 2] = sx
+    out[..., 1, 2] = sy - omega_r
+    out[..., 2, 0] = -2.0 * sx
+    out[..., 2, 1] = omega_r - 2.0 * sy
+    return out
 
 
-def _transverse(eigs):
-    """Spectrum with the structural zero mode removed."""
-    scale = max(1.0, float(np.abs(eigs).max()))
-    return eigs[np.abs(eigs) > _ZERO_MODE_TOL * scale]
+def _equilibria(omega_r):
+    """Both equilibria of each drive in a 1-D array, in one pass.
 
+    Returns (points, eigs, stable, rate, count): the (k, 2, 3) points
+    in find_fixed_points' closed form, lower (or -sx) branch first, their
+    (k, 2, 3) Jacobian spectra, the (k, 2) stability flags and leading
+    transverse rates (the largest real part once the structural zero
+    mode is filtered, 0 when nothing is left), and the number of
+    distinct points per drive: 1 where the branches merge at sx = 0,
+    and then the second slot is a copy whose rate reads +inf.
+    """
+    below = omega_r < 1.0
+    sy = np.where(below, omega_r, 1.0 / np.maximum(omega_r, 1.0))
+    root = np.sqrt(np.maximum(0.0, 1.0 - sy * sy))
+    k = len(omega_r)
+    points = np.zeros((k, 2, 3))
+    points[:, :, 1] = sy[:, None]
+    points[np.arange(k), :, np.where(below, 2, 0)] = root[:, None] * [-1.0, 1.0]
 
-def _is_attracting(eigs) -> bool:
-    trans = _transverse(eigs)
-    return len(trans) > 0 and bool(np.all(trans.real < -_STABILITY_MARGIN))
-
-
-def _newton_polish(s, omega_r, sweeps=3):
-    # the Jacobian is singular along the radius, so use least squares
-    for _ in range(sweeps):
-        f = _rhs_kernel(s, omega_r)
-        if np.linalg.norm(f) < 1e-14:
-            break
-        step, *_ = np.linalg.lstsq(_jacobian_kernel(s, omega_r), -f, rcond=None)
-        s = s + step
-    return s
+    drive = omega_r[:, None]
+    resid = np.linalg.norm(_rhs_kernel(points, drive), axis=-1).max(initial=0.0)
+    if resid > 1e-10:
+        raise ValidationError(f"equilibrium residual {resid:.3e} at the closed-form points")
+    eigs = np.linalg.eigvals(_jacobian_kernel(points, drive))
+    size = np.abs(eigs)
+    transverse = size > _ZERO_MODE_TOL * np.maximum(1.0, size.max(axis=-1, keepdims=True))
+    some = transverse.any(axis=-1)
+    rate = np.where(some, np.where(transverse, eigs.real, -np.inf).max(axis=-1), 0.0)
+    stable = some & np.all(~transverse | (eigs.real < -_STABILITY_MARGIN), axis=-1)
+    count = np.where(below | (root > 0.0), 2, 1)  # 1: merged exactly at the critical drive
+    rate[:, 1] = np.where(count == 2, rate[:, 1], np.inf)
+    return points, eigs, stable, rate, count
 
 
 def find_fixed_points(omega_r):
@@ -133,28 +160,23 @@ def find_fixed_points(omega_r):
     sx = -/+ sqrt(1 - 1/omega_r^2), neutrally stable centers.  Reports
     are ordered with the attracting point (if any) first.
     """
-    omega_r = _check_omega_r(omega_r)
-    points = []
-    if omega_r < 1.0:
-        rad = np.sqrt(1.0 - omega_r * omega_r)
-        points = [np.array([0.0, omega_r, -rad]), np.array([0.0, omega_r, rad])]
-    else:
-        sy = 1.0 / omega_r
-        sx = np.sqrt(max(0.0, 1.0 - sy * sy))
-        points = [np.array([-sx, sy, 0.0]), np.array([sx, sy, 0.0])]
-        if sx == 0.0:  # branches merged exactly at the critical drive
-            points = points[:1]
-
-    reports = []
-    for p in points:
-        p = _newton_polish(p, omega_r)
-        resid = float(np.linalg.norm(_rhs_kernel(p, omega_r)))
-        if resid > 1e-10:
-            raise ValidationError(f"equilibrium polish failed: residual {resid:.3e}")
-        eigs = np.linalg.eigvals(_jacobian_kernel(p, omega_r))
-        reports.append(FixedPointReport(point=p, jacobian_eigenvalues=eigs, stable=_is_attracting(eigs)))
+    points, eigs, stable, _, count = _equilibria(np.array([_check_omega_r(omega_r)]))
+    reports = [
+        FixedPointReport(point=points[0, n], jacobian_eigenvalues=eigs[0, n], stable=bool(stable[0, n]))
+        for n in range(count[0])
+    ]
     reports.sort(key=lambda r: not r.stable)
     return reports
+
+
+def _branch_summary(omega_r):
+    """stable_branch_summary for a checked 1-D array of drives, as two arrays."""
+    points, _, _, rate, _ = _equilibria(omega_r)
+    # The least damped of find_fixed_points' reports, the first on a tie.
+    # A stable point's rate is below -_STABILITY_MARGIN and any other's
+    # is not, so its listing first never decides a tie: slot order does.
+    second = rate[:, 1] < rate[:, 0]
+    return np.where(second, points[:, 1, 2], points[:, 0, 2]), np.where(second, rate[:, 1], rate[:, 0])
 
 
 def stable_branch_summary(omega_r):
@@ -163,24 +185,26 @@ def stable_branch_summary(omega_r):
     The rate is the real part of the least-damped transverse mode of the
     best equilibrium: negative while an attracting equilibrium exists,
     ~0 once only the neutrally stable centers above the bifurcation
-    remain.  Its sign change is what bifurcation_scan brackets.
+    remain.  Its sign change is what bifurcation_scan brackets.  A
+    scalar drive gives two floats; a 1-D array of drives gives two
+    arrays, from one pass over all of them.
     """
-
-    def leading_rate(report):
-        trans = _transverse(report.jacobian_eigenvalues)
-        return float(trans.real.max()) if len(trans) else 0.0
-
-    best = min(find_fixed_points(omega_r), key=leading_rate)
-    return float(best.point[2]), leading_rate(best)
+    drives = np.asarray(omega_r, dtype=float)
+    if drives.ndim == 0:
+        sz, rate = _branch_summary(np.array([_check_omega_r(omega_r)]))
+        return float(sz[0]), float(rate[0])
+    if drives.ndim != 1 or not np.all(np.isfinite(drives)) or np.any(drives < 0):
+        raise ValidationError("omega_r must be a drive or a 1-D array of drives, each finite and >= 0")
+    return _branch_summary(drives)
 
 
 def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float:
     """Critical scaled drive where the attracting equilibrium disappears.
 
-    Scans the grid for the first pair of adjacent points that bracket
-    the loss of attraction, then bisects the bracket down to
-    ``settings.bifurcation_tol``.  Raises BifurcationNotFoundError when
-    the whole grid sits on one side.
+    Evaluates the whole grid in one pass, takes the first pair of
+    adjacent points that bracket the loss of attraction, then bisects
+    the bracket down to ``settings.bifurcation_tol``.  Raises
+    BifurcationNotFoundError when the whole grid sits on one side.
     """
     grid = np.asarray(omega_r_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -190,25 +214,18 @@ def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("omega_r grid must be strictly ascending")
 
-    def attracting(omega_r):
-        return stable_branch_summary(omega_r)[1] < -_STABILITY_MARGIN
-
-    sides = [attracting(w) for w in grid]
-    bracket = None
-    for k in range(len(grid) - 1):
-        if sides[k] and not sides[k + 1]:
-            bracket = (grid[k], grid[k + 1])
-            break
-    if bracket is None:
+    sides = _branch_summary(grid)[1] < -_STABILITY_MARGIN
+    edges = np.flatnonzero(sides[:-1] & ~sides[1:])
+    if len(edges) == 0:
         side = "below" if sides[0] else "above"
         raise BifurcationNotFoundError(
             f"no loss of attraction inside grid [{grid[0]:g}, {grid[-1]:g}] "
             f"(entire grid {side} the transition)"
         )
-    lo, hi = bracket
+    lo, hi = grid[edges[0]], grid[edges[0] + 1]
     while hi - lo > settings.bifurcation_tol:
         mid = 0.5 * (lo + hi)
-        if attracting(mid):
+        if _branch_summary(np.array([mid]))[1][0] < -_STABILITY_MARGIN:
             lo = mid
         else:
             hi = mid

@@ -328,6 +328,31 @@ def test_row_blocks_are_bounded_and_spread_over_jobs(monkeypatch):
     assert sizes(3, 8) == [1] * 3
 
 
+def test_process_pool_has_at_most_one_worker_per_task(monkeypatch):
+    import concurrent.futures
+
+    made = []
+
+    class Pool:  # records the pool size; no process is started
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks, chunksize=1):
+            return map(worker, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    blocks = cli._map_blocks(lambda task: [int(task[0][0])], (np.arange(2),), None, 64)
+    assert blocks == [0, 1] and made == [2]
+    assert cli._map_rows(abs, [-1, -2, -3], 2) == [1, 2, 3] and made == [2, 2]
+    assert cli._map_rows(abs, [-1], 64) == [1] and made == [2, 2]  # one task runs in process
+
+
 def test_fig1_stacked_route_matches_single_solves_on_the_paper_grid(tmp_path):
     out = tmp_path / "fig1.csv"
     rc = run_cli(["fig1", "--gamma-grid", "log:0.01:100:41", "--nbar-grid", "0:3:4", "--output", str(out)])

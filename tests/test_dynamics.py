@@ -164,6 +164,14 @@ def test_liouvillian_equals_kronecker_sum(two_j):
         assert np.array_equal(lio.toarray(), liouvillian_kron(p))
 
 
+@pytest.mark.parametrize("two_j", [0, 1, 2, 8, 32])
+def test_generator_values_are_the_liouvillian_entries(two_j):
+    # evolve reads the values directly, in the CSC order of build_liouvillian
+    p = ModelParams(j=two_j / 2.0, omega=1.3, gamma_a=0.7, nbar=0.4)
+    values = dynamics._generator_values(two_j, p.omega, p.gamma_a, p.nbar)
+    assert np.array_equal(values, build_liouvillian(p).data)
+
+
 # ---------------------------------------------------------------- validate_density_matrix
 
 def test_validate_density_matrix_passes(rng=np.random.default_rng(3)):

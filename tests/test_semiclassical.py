@@ -13,8 +13,15 @@ from dickesim import (
     meanfield_rhs,
     stable_branch_summary,
 )
+from dickesim.settings import DEFAULT
 from dickesim.semiclassical import _jacobian_kernel
-from util import finite_difference_jacobian, meanfield_dop853
+from util import (
+    bifurcation_per_drive,
+    branch_summary_per_drive,
+    finite_difference_jacobian,
+    fixed_points_per_drive,
+    meanfield_dop853,
+)
 
 coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -62,6 +69,17 @@ def test_jacobian_matches_finite_differences(sx, sy, sz, omega_r):
         _jacobian_kernel(s, omega_r) - finite_difference_jacobian(s, omega_r)
     ).max()
     assert gap < 1e-5
+
+
+def test_jacobian_stack_equals_one_matrix_at_a_time():
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2.0, 2.0, size=(4, 2, 3))
+    drives = rng.uniform(0.0, 3.0, size=(4, 1))
+    stack = _jacobian_kernel(points, drives)
+    assert stack.shape == (4, 2, 3, 3)
+    for k in range(4):
+        for n in range(2):
+            assert np.array_equal(stack[k, n], _jacobian_kernel(points[k, n], drives[k, 0]))
 
 
 # the spectra find_fixed_points reports, at its attracting point (listed
@@ -170,6 +188,64 @@ def test_bifurcation_scan_grid_errors():
         bifurcation_scan([0.5, 0.4, 0.3])
     with pytest.raises(ValidationError):
         bifurcation_scan([-0.1, 0.5, 1.5])
+
+
+# ------------------------------------------- the stacked pass against the oracle
+
+def _drive_sweep():
+    rng = np.random.default_rng(12)
+    return np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1e3],
+        np.linspace(0.0, 3.0, 61),
+        rng.uniform(0.0, 5.0, 200),
+        1.0 + rng.uniform(-1e-6, 1e-6, 200),
+    ])
+
+
+def test_stacked_branch_summary_equals_per_drive_oracle():
+    drives = _drive_sweep()
+    sz, rate = stable_branch_summary(drives)
+    ref = np.array([branch_summary_per_drive(w) for w in drives])
+    assert np.array_equal(sz, ref[:, 0])
+    assert np.array_equal(rate, ref[:, 1])
+
+
+def test_fixed_point_reports_equal_per_drive_oracle():
+    for omega_r in _drive_sweep()[::7]:
+        reports = find_fixed_points(omega_r)
+        ref = fixed_points_per_drive(omega_r)
+        assert len(reports) == len(ref)
+        for report, (point, eigs, stable) in zip(reports, ref):
+            assert np.array_equal(report.point, point)
+            assert np.array_equal(report.jacobian_eigenvalues, eigs)
+            assert report.stable == stable
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(0.05, 2.0, 40),
+    np.linspace(0.999, 1.001, 7),
+    np.linspace(0.0, 5.0, 1001),
+], ids=["paper", "narrow", "fine"])
+def test_bifurcation_scan_equals_per_drive_oracle(grid):
+    assert bifurcation_scan(grid) == bifurcation_per_drive(grid, DEFAULT.bifurcation_tol)
+
+
+def test_scalar_and_array_summaries_agree():
+    drives = _drive_sweep()[:80]
+    sz, rate = stable_branch_summary(drives)
+    for k, omega_r in enumerate(drives):
+        scalar = stable_branch_summary(float(omega_r))
+        assert type(scalar[0]) is float and type(scalar[1]) is float
+        assert scalar == (sz[k], rate[k])
+    assert stable_branch_summary(drives.tolist())[1].tolist() == rate.tolist()
+
+
+@pytest.mark.parametrize("bad", [
+    [0.5, np.nan], [0.5, -0.1], [[0.5, 1.5]], np.nan, -0.5, np.inf,
+], ids=["nan", "negative", "2-D", "scalar-nan", "scalar-negative", "scalar-inf"])
+def test_branch_summary_rejects_bad_drives(bad):
+    with pytest.raises(ValidationError):
+        stable_branch_summary(bad)
 
 
 # ---------------------------------------------------------------- trajectories

@@ -213,3 +213,87 @@ def meanfield_dop853(s0, omega_r, taus):
     if not sol.success:
         raise RuntimeError(f"DOP853 reference failed: {sol.message}")
     return sol.y.T
+
+
+# ------------------------------------------------ mean-field branch oracle
+# The per-drive route the stacked semiclassical pass replaced: closed-form
+# points, a Newton polish, one eigvals per point and a scalar bisection.
+
+_ZERO_MODE_TOL = 1e-9
+_STABILITY_MARGIN = 1e-12
+
+
+def _rhs(s, omega_r):
+    sx, sy, sz = s
+    return np.array([sz * sx, sz * sy - omega_r * sz, omega_r * sy - sx * sx - sy * sy])
+
+
+def _jacobian(s, omega_r):
+    sx, sy, sz = s
+    return np.array([
+        [sz, 0.0, sx],
+        [0.0, sz, sy - omega_r],
+        [-2.0 * sx, omega_r - 2.0 * sy, 0.0],
+    ])
+
+
+def _transverse(eigs):
+    scale = max(1.0, float(np.abs(eigs).max()))
+    return eigs[np.abs(eigs) > _ZERO_MODE_TOL * scale]
+
+
+def fixed_points_per_drive(omega_r):
+    """[(point, eigenvalues, stable)] for one drive, the attracting point first."""
+    omega_r = float(omega_r)
+    if omega_r < 1.0:
+        rad = np.sqrt(1.0 - omega_r * omega_r)
+        points = [np.array([0.0, omega_r, -rad]), np.array([0.0, omega_r, rad])]
+    else:
+        sy = 1.0 / omega_r
+        sx = np.sqrt(max(0.0, 1.0 - sy * sy))
+        points = [np.array([-sx, sy, 0.0]), np.array([sx, sy, 0.0])]
+        if sx == 0.0:
+            points = points[:1]
+    out = []
+    for p in points:
+        for _ in range(3):  # Newton polish; the Jacobian is singular along the radius
+            f = _rhs(p, omega_r)
+            if np.linalg.norm(f) < 1e-14:
+                break
+            p = p + np.linalg.lstsq(_jacobian(p, omega_r), -f, rcond=None)[0]
+        if np.linalg.norm(_rhs(p, omega_r)) > 1e-10:
+            raise RuntimeError(f"oracle polish failed at omega_r = {omega_r!r}")
+        eigs = np.linalg.eigvals(_jacobian(p, omega_r))
+        trans = _transverse(eigs)
+        out.append((p, eigs, len(trans) > 0 and bool(np.all(trans.real < -_STABILITY_MARGIN))))
+    out.sort(key=lambda report: not report[2])
+    return out
+
+
+def branch_summary_per_drive(omega_r):
+    """(sz, leading transverse rate) of the least-damped equilibrium of one drive."""
+
+    def leading_rate(report):
+        trans = _transverse(report[1])
+        return float(trans.real.max()) if len(trans) else 0.0
+
+    best = min(fixed_points_per_drive(omega_r), key=leading_rate)
+    return float(best[0][2]), leading_rate(best)
+
+
+def bifurcation_per_drive(grid, tol):
+    """The critical drive by a scalar scan of the grid and bisection to tol."""
+
+    def attracting(omega_r):
+        return branch_summary_per_drive(omega_r)[1] < -_STABILITY_MARGIN
+
+    sides = [attracting(w) for w in grid]
+    k = next(k for k in range(len(grid) - 1) if sides[k] and not sides[k + 1])
+    lo, hi = grid[k], grid[k + 1]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if attracting(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
