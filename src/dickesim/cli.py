@@ -190,7 +190,7 @@ GLOBAL_OPTIONS = [
 
 SUBCOMMANDS = {
     "steady": [
-        ("j", _spin, REQUIRED, "spin quantum number (half-integer, <= 128; numeric <= 64)"),
+        ("j", _spin, REQUIRED, "spin quantum number (half-integer, <= 128)"),
         ("gamma", _finite, None, "damping-to-drive ratio gamma_a/omega (sets omega=1)"),
         ("omega", _finite, None, "drive strength (alternative to --gamma)"),
         ("gamma-a", _finite, None, "decay rate (alternative to --gamma)"),

@@ -17,10 +17,12 @@ coordinate vectors, with exact matrix exponentials of sizes d(d+1)/2
 and d(d-1)/2 instead of one complex d^2 x d^2 one.  Its work and memory
 are bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the
 states are checked in bounded chunks.  Steady states are solved in the
-same gauge, as the kernel of the real d^2 x d^2 generator: one state
-at a time (steady_state_numeric), or a whole parameter grid of small
-spins as one stack (steady_states_numeric).  scipy is imported only by
-evolve (scipy.linalg, for expm) and build_liouvillian (scipy.sparse).
+same gauge, as the kernel of the real generator: one state at a time
+(steady_state_numeric, on the symmetric block's d(d+1)/2 coordinates
+above j = 5 and on all d^2 up to it), or a whole parameter grid of
+small spins as one stack (steady_states_numeric).  scipy is imported
+only by evolve (scipy.linalg, for expm), build_liouvillian and
+steady_state_numeric (scipy.sparse).
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from .spin_ops import SpinQuantum, ladder_coefficients
 # evolve's two real propagators have d(d+1)/2 and d(d-1)/2 rows, so their
 # cost grows as d^6; a real expm of size 2145 (j = 32) takes 5.3 s
 DENSE_DIM_LIMIT = 33
-# steady_state_numeric factors one sparse real d^2 x d^2 matrix; at j = 64
-# a solve takes 40-105 ms on one core, and beyond it only the
-# zero-temperature analytic route remains
-STEADY_DIM_LIMIT = 129
+# steady_state_numeric factors one sparse real block of d(d+1)/2 unknowns;
+# on one core a solve takes 32-65 ms at j = 64, and at j = 128 (the CLI's
+# J_VALUE_LIMIT) 0.24-0.50 s at most 179 MB max RSS, nbar 0-3 and
+# gamma_a 0.001-10
+STEADY_DIM_LIMIT = 257
 # evolve's matrix-exponential budget: distinct time steps times the cubed
 # sizes of both real blocks; 30 distinct steps at j = 16, measured at 6.9 s
 # on one BLAS thread (log grid to t = 10, nbar = 0.3, random mixed rho0)
@@ -341,6 +344,44 @@ def _real_gauge(two_j):
     return ph, sym, anti
 
 
+@functools.lru_cache(maxsize=64)
+def _symmetric_csc(two_j):
+    """Canonical CSC structure of _real_gauge's symmetric block.
+
+    Returns (indptr, indices, slot, trace): the structure, the data
+    position of each generator entry the block takes (an entry folded
+    onto an existing one shares its slot, so np.bincount sums them),
+    and the trace functional on the block's coordinates, 1 on the
+    diagonal ones.  All are read-only.
+    """
+    n, triangle, _, flat, _ = _real_gauge(two_j)[1]
+    rows, cols = np.divmod(flat, n)
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    out = (indptr, (keys % n).astype(np.int32), slot, (triangle[0] == triangle[1]).astype(float))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _symmetric_block(params: ModelParams):
+    """(block, trace): the real symmetric block of the gauged generator.
+
+    The block of _real_gauge as canonical CSC on the structure of
+    _symmetric_csc, for the rates of params, and the trace functional,
+    its exact left kernel.
+    """
+    import scipy.sparse as sp
+
+    p = params
+    n, _, take, _, unit = _real_gauge(p.j.two_j)[1]
+    indptr, indices, slot, trace = _symmetric_csc(p.j.two_j)
+    values = _generator_values(p.j.two_j, p.omega, p.gamma_a, p.nbar)
+    data = np.bincount(slot, weights=(unit * values[take]).real, minlength=len(indices))
+    return sp.csc_array((data, indices, indptr), shape=(n, n)), trace
+
+
 def _step_runs(steps, slack):
     """[start, stop) ranges of consecutive steps that share one propagator.
 
@@ -459,20 +500,28 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
     """Steady state as the one-dimensional null space of the generator.
 
     Valid whenever the stationary state is unique, which for this model
-    means omega > 0, or omega = 0 with nbar = 0 (pure decay funnels to
-    the ground level).  The undriven thermal case has no drive to break
-    the ladder degeneracy structure and is rejected up front.
+    (gamma_a > 0) means omega > 0, or omega = 0 with nbar = 0 (pure
+    decay funnels to the ground level).  The undriven thermal case has
+    no drive to break the ladder degeneracy structure and is rejected
+    up front.
 
-    Solves in the gauge of _gauge_phase, where the d^2 x d^2 generator
-    G is real, with one real factorisation of G bordered by the trace
-    functional vec(I) (linalg.null_vector: a dense inverse up to j = 5,
-    SuperLU above).  vec(I) is the exact left kernel of
-    every trace-preserving generator, and its overlap with the kernel is
-    the steady state's trace, so the bordered matrix is well conditioned
-    whenever the steady state is unique.  rho = ph * sym(Y) / tr(Y) is
-    Hermitian by construction.  Raises CapacityError above
-    STEADY_DIM_LIMIT.  steady_states_numeric solves a grid of small
-    spins at once.
+    Solves in the gauge of _gauge_phase, where the generator G is real
+    and keeps the real symmetric S and the real antisymmetric K of
+    Y = S + i K apart (see _real_gauge).  The symmetric block is enough:
+    the antisymmetric block holds only traceless Hermitian directions
+    (rho = ph * i K has a zero diagonal), and a unique steady state has
+    trace one, so G's one-dimensional kernel lies in the symmetric block
+    and the antisymmetric block is nonsingular.  Above j = 5 the block,
+    d(d+1)/2 unknowns instead of d^2, is factored once, bordered by the
+    trace functional, the indicator of the diagonal coordinates
+    (linalg.null_vector: a dense inverse up to j = 7, SuperLU above);
+    up to j = 5 the full d^2 x d^2 G is, bordered by vec(I).  Either
+    border is the exact left kernel of the trace-preserving block it
+    borders, and its overlap with the kernel is the steady state's
+    trace, so the bordered matrix is well conditioned whenever the
+    steady state is unique.  rho = ph * S / tr(S) is Hermitian by
+    construction.  Raises CapacityError above STEADY_DIM_LIMIT.
+    steady_states_numeric solves a grid of small spins at once.
     """
     p = params
     _require_unique_steady(p.omega, p.gamma_a, p.nbar)
@@ -480,15 +529,26 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
     if d > STEADY_DIM_LIMIT:
         raise CapacityError(
             f"dimension {d} exceeds steady_state_numeric's limit {STEADY_DIM_LIMIT} "
-            "(j <= 64); zero-temperature steady states beyond it: "
+            "(j <= 128); zero-temperature steady states beyond it: "
             "analytic.steady_state_analytic"
         )
-    ph, phase = _gauge_phase(p.j.two_j)
-    G = build_liouvillian(p)
-    G.data = (phase * G.data).real  # conj(ph_r) L[r, c] ph_c, on L's own structure
-    # bordered by vec(I), d ones on the diagonal coordinates
-    Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
-    return validate_density_matrix(_steady_rho(Y, ph), settings, "steady state")
+    if d * d <= linalg._DENSE_LU_MAX:
+        # The full gauged generator, kept for j <= 5: the benchmark's
+        # self-test pins this route's one build_liouvillian call and its
+        # d^2-unknown null_vector at j = 2.  The symmetric block can take
+        # these spins too once that pin is restated.
+        ph, phase = _gauge_phase(p.j.two_j)
+        G = build_liouvillian(p)
+        G.data = (phase * G.data).real  # conj(ph_r) L[r, c] ph_c, on L's own structure
+        # bordered by vec(I), d ones on the diagonal coordinates
+        Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
+        return validate_density_matrix(_steady_rho(Y, ph), settings, "steady state")
+    ph, (_, triangle, *_), _ = _real_gauge(p.j.two_j)
+    block, trace = _symmetric_block(p)
+    x = null_vector(block, trace, settings)
+    S = np.empty((d, d))
+    S[triangle] = S[triangle[::-1]] = x
+    return validate_density_matrix(ph * (S / np.trace(S)), settings, "steady state")
 
 
 def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings = DEFAULT) -> np.ndarray:

@@ -22,10 +22,13 @@ from .errors import DegenerateKernelError, ValidationError
 from .settings import DEFAULT, NumericSettings
 
 # bordered systems with at most this many unknowns are inverted dense
-# (j <= 5 on a generator): measured on one core, a steady-state solve by
-# the dense inverse takes 0.52 ms at 81 unknowns against SuperLU's 0.81 ms,
-# the two tie at 121 (1.0 ms), and SuperLU wins from 144 on (1.2 against
-# 1.9 ms; 1.35 against 2.6 ms at 169)
+# (j <= 5 on the full generator, j <= 7 on its symmetric block).  Measured
+# on one core, a full-generator steady-state solve by the dense inverse
+# takes 0.52 ms at 81 unknowns against SuperLU's 0.81 ms, the two tie at
+# 121 (1.0 ms), and SuperLU wins from 144 on (1.2 against 1.9 ms; 1.35
+# against 2.6 ms at 169).  On the block: 0.47 against 0.93 ms at 78
+# unknowns (j = 5.5), 0.83 against 0.88 ms at 120 (j = 7), and SuperLU
+# wins at 136 (1.1 against 1.7 ms)
 _DENSE_LU_MAX = 121
 # SuperLU on the generator's structurally symmetric pattern: a minimum
 # degree ordering of A + A^T, kept by diagonal pivots unless a column holds

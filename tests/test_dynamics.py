@@ -9,6 +9,7 @@ from hypothesis import example, given, settings as hsettings, strategies as st
 
 from dickesim import (
     CapacityError,
+    DegenerateKernelError,
     ModelParams,
     SpinQuantum,
     ValidationError,
@@ -30,6 +31,7 @@ from util import (
     liouvillian_kron,
     master_equation_rhs,
     random_density,
+    steady_state_full_generator,
     steady_state_svd,
     trace_distance,
     unvec,
@@ -477,7 +479,7 @@ def test_steady_rejects_no_damping():
 
 def test_steady_capacity_limit():
     with pytest.raises(CapacityError, match="analytic"):
-        steady_state_numeric(ModelParams(j=64.5, omega=1.0, gamma_a=1.0))
+        steady_state_numeric(ModelParams(j=128.5, omega=1.0, gamma_a=1.0))
 
 
 @given(
@@ -500,7 +502,7 @@ def test_steady_matches_analytic_at_zero_temperature(j, gamma_a):
     assert trace_distance(numeric, steady_state_analytic(j, gamma_a)) < 1e-12
 
 
-@pytest.mark.parametrize("j", [32, 64])
+@pytest.mark.parametrize("j", [32, 64, 96, 128])
 def test_steady_matches_analytic_beyond_evolve_limit(j):
     gamma_a = 1.0 / (0.9 * j)  # omega_r = 0.9, just below the bifurcation
     numeric = steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=gamma_a))
@@ -530,9 +532,9 @@ def test_steady_factors_once(monkeypatch, j):
     real_splu = scipy.sparse.linalg.splu
     real_inv = np.linalg.inv
 
-    def splu(*args, **kwargs):
-        factored.append("splu")
-        return real_splu(*args, **kwargs)
+    def splu(a, *args, **kwargs):
+        factored.append(("splu", a.shape[0]))
+        return real_splu(a, *args, **kwargs)
 
     def inv(a):
         factored.append(("inv", a.shape))
@@ -541,9 +543,66 @@ def test_steady_factors_once(monkeypatch, j):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
     monkeypatch.setattr(np.linalg, "inv", inv)
     steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=0.5, nbar=0.3))
-    n = int(2 * j + 1) ** 2
-    assert (n <= linalg._DENSE_LU_MAX) == (j <= 5)
-    assert factored == [("inv", (1, n + 1, n + 1)) if j <= 5 else "splu"]
+    d = int(2 * j + 1)
+    # up to j = 5 all d^2 unknowns, above the d(d+1)/2 of the symmetric block
+    n = d * d if j <= 5 else d * (d + 1) // 2
+    assert (n <= linalg._DENSE_LU_MAX) == (j <= 7)
+    assert factored == [("inv", (1, n + 1, n + 1)) if j <= 7 else ("splu", n + 1)]
+
+
+@pytest.mark.parametrize("two_j", [1, 4, 11, 12, 32])
+def test_symmetric_block_is_the_folded_generator(two_j):
+    # column c of the block is the generator applied to the symmetric basis
+    # matrix of coordinate c, read on the upper triangle; the trace
+    # functional is its left kernel
+    p = ModelParams(j=two_j / 2.0, omega=0.9, gamma_a=1.7, nbar=0.4)
+    d = p.j.dim
+    ph, (n, triangle, *_), _ = dynamics._real_gauge(two_j)
+    block, trace = dynamics._symmetric_block(p)
+    gauged = vec(ph).conj()[:, None] * build_liouvillian(p).toarray() * vec(ph)[None, :]
+    basis = np.zeros((d * d, n))
+    basis[triangle[0] + d * triangle[1], np.arange(n)] = 1.0
+    basis[triangle[1] + d * triangle[0], np.arange(n)] = 1.0
+    expected = (gauged @ basis)[triangle[0] + d * triangle[1]]
+    assert block.has_canonical_format
+    assert np.abs(block.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.array_equal(trace, (triangle[0] == triangle[1]).astype(float))
+    assert np.abs(trace @ block.toarray()).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("j", [5.5, 7, 8, 16, 32])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+@pytest.mark.parametrize("gamma_a", ["0.0174", "1/(0.9 j)", "1"])
+def test_steady_block_matches_full_generator(j, nbar, gamma_a):
+    gamma_a = 1.0 / (0.9 * j) if gamma_a == "1/(0.9 j)" else float(gamma_a)
+    p = ModelParams(j=j, omega=1.0, gamma_a=gamma_a, nbar=nbar)
+    assert trace_distance(steady_state_numeric(p), steady_state_full_generator(p)) <= 1e-13
+
+
+@pytest.mark.parametrize("j", [6, 8, 16, 32])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_steady_block_rejects_near_unitary_dynamics(j, nbar):
+    # at gamma_a = 1e-7 the kernel is numerically two-dimensional in the
+    # symmetric block itself, and its kappa_1 check raises as the full
+    # generator's does (checked up to j = 16: the full generator's SuperLU
+    # fill at j = 32 takes ~3 s on one core)
+    p = ModelParams(j=j, omega=1.0, gamma_a=1e-7, nbar=nbar)
+    with pytest.raises(DegenerateKernelError, match="not one-dimensional"):
+        steady_state_numeric(p)
+    if j <= 16:
+        with pytest.raises(DegenerateKernelError, match="not one-dimensional"):
+            steady_state_full_generator(p)
+
+
+def test_steady_block_solves_past_an_antisymmetric_near_singularity():
+    # at j = 16, gamma_a = 1e-6 the full generator's bordered matrix has a
+    # condition estimate just over 1 / null_gap_rtol, from a near-singular
+    # direction of the antisymmetric block; the symmetric block does not
+    # hold that direction and returns the exact state
+    p = ModelParams(j=16, omega=1.0, gamma_a=1e-6)
+    with pytest.raises(DegenerateKernelError, match="not one-dimensional"):
+        steady_state_full_generator(p)
+    assert trace_distance(steady_state_numeric(p), steady_state_analytic(16, 1e-6)) < 1e-12
 
 
 def test_gauge_phase_makes_generator_entries_real():

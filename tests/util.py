@@ -12,11 +12,13 @@ from dickesim import (
     SpinQuantum,
     ValidationError,
     build_jminus,
+    build_liouvillian,
     m_values,
     meanfield_rhs,
     validate_density_matrix,
 )
-from dickesim.linalg import as_complex_matrix
+from dickesim import dynamics
+from dickesim.linalg import as_complex_matrix, null_vector
 
 
 def trace_distance(a, b):
@@ -151,6 +153,23 @@ def steady_state_svd(params):
     rho = null_vector_svd(liouvillian_kron(params)).reshape(d, d, order="F")
     rho = rho / np.trace(rho)
     return validate_density_matrix(0.5 * (rho + rho.conj().T), name="steady state (SVD)")
+
+
+def steady_state_full_generator(params, settings=DEFAULT):
+    """Steady state from the whole real gauged generator, all d^2 unknowns.
+
+    The gauged generator conj(ph_r) L[r, c] ph_c on build_liouvillian's
+    structure, bordered by vec(I), its exact left kernel, and solved by
+    one null_vector call; the oracle for the symmetric-block route that
+    steady_state_numeric takes above j = 5.
+    """
+    d = params.j.dim
+    ph, phase = dynamics._gauge_phase(params.j.two_j)
+    G = build_liouvillian(params)
+    G.data = (phase * G.data).real
+    Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
+    rho = ph * (Y + Y.T) / (2.0 * np.trace(Y))
+    return validate_density_matrix(rho, settings, "steady state (full generator)")
 
 
 def pair_reduced_brute_force(rho, spin):
