@@ -104,6 +104,13 @@ def _positive(text):
     return value
 
 
+def _nonnegative(text):
+    value = _finite(text)
+    if value < 0:
+        raise UsageError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _one_of(*choices):
     def convert(text):
         if text not in choices:
@@ -191,18 +198,18 @@ GLOBAL_OPTIONS = [
 SUBCOMMANDS = {
     "steady": [
         ("j", _spin, REQUIRED, "spin quantum number (half-integer, <= 128)"),
-        ("gamma", _finite, None, "damping-to-drive ratio gamma_a/omega (sets omega=1)"),
-        ("omega", _finite, None, "drive strength (alternative to --gamma)"),
-        ("gamma-a", _finite, None, "decay rate (alternative to --gamma)"),
-        ("nbar", _finite, 0.0, "bath occupation"),
+        ("gamma", _nonnegative, None, "damping-to-drive ratio gamma_a/omega (sets omega=1)"),
+        ("omega", _nonnegative, None, "drive strength (alternative to --gamma)"),
+        ("gamma-a", _nonnegative, None, "decay rate (alternative to --gamma)"),
+        ("nbar", _nonnegative, 0.0, "bath occupation"),
         ("method", _one_of("numeric", "analytic"), "numeric",
          "numeric or analytic (analytic needs nbar=0)"),
     ],
     "evolve": [
         ("j", _spin, REQUIRED, "spin quantum number (half-integer, <= 128; evolve runs j <= 16)"),
-        ("omega", _finite, 0.0, "drive strength"),
-        ("gamma-a", _finite, 0.0, "decay rate"),
-        ("nbar", _finite, 0.0, "bath occupation"),
+        ("omega", _nonnegative, 0.0, "drive strength"),
+        ("gamma-a", _nonnegative, 0.0, "decay rate"),
+        ("nbar", _nonnegative, 0.0, "bath occupation"),
         ("t-max", _positive, REQUIRED, "final time"),
         ("steps", _count_to(EVOLVE_STEPS_LIMIT), 200, "number of grid intervals (rows = steps + 1)"),
         ("initial", _one_of("excited", "ground"), "excited", "initial state: excited or ground"),

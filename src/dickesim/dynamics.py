@@ -10,19 +10,23 @@ with mean occupation nbar.  In matrix form the generator is
 
 Superoperators use column stacking throughout: vec(A X B) = (B^T kron A) vec(X).
 
-Time evolution works in the real gauge rho[a, b] = i^(b - a) Y[a, b].
-There the generator is real and never mixes the real symmetric and the
-real antisymmetric part of Y, so evolve propagates them as two real
-coordinate vectors, with exact matrix exponentials of sizes d(d+1)/2
-and d(d-1)/2 instead of one complex d^2 x d^2 one.  Its work and memory
-are bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the
-states are checked in bounded chunks.  Steady states are solved in the
-same gauge, as the kernel of the real generator: one state at a time
-(steady_state_numeric, on the symmetric block's d(d+1)/2 coordinates
-above j = 5 and on all d^2 up to it), or a whole parameter grid of
-small spins as one stack (steady_states_numeric).  scipy is imported
-only by evolve (scipy.linalg, for expm), build_liouvillian and
-steady_state_numeric (scipy.sparse).
+The generator's structure and unit-rate values are cached per 2j
+(_generator_pattern), and one formula combines them with the rates
+(_generator_values).  Both numeric routes work in the real gauge
+rho[a, b] = i^(b - a) Y[a, b].  There the generator is real and never
+mixes the real symmetric and the real antisymmetric part of Y, and one
+cached builder, _gauged_block, folds it into these two real blocks, of
+d(d+1)/2 and d(d-1)/2 coordinates.  evolve propagates the two parts as
+coordinate vectors, with exact matrix exponentials of the dense blocks
+instead of one complex d^2 x d^2 one.  Its work and memory are bounded
+up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the states are
+checked in bounded chunks.  Steady states are the kernel of the
+symmetric block: one state at a time (steady_state_numeric, as sparse
+CSC above j = 5; up to it, on the full d^2 gauged generator), or a
+whole parameter grid of spins up to j = 7 as one dense stack
+(steady_states_numeric).  scipy is imported only by evolve
+(scipy.linalg, for expm), build_liouvillian and steady_state_numeric
+(scipy.sparse).
 """
 
 from __future__ import annotations
@@ -209,7 +213,8 @@ def _generator_pattern(two_j):
 
     where c_{-1} = c_{2j} = 0.  Each value is computed as in the
     Kronecker-sum form, so build_liouvillian reproduces it bit for bit.
-    Returns (indptr, indices, drive, heating, decay), all read-only.
+    Returns (indptr, indices, units): units is the (3, nnz) complex
+    array of drive, heating and decay values.  All are read-only.
     """
     d = two_j + 1
     c = ladder_coefficients(SpinQuantum(two_j))
@@ -236,20 +241,21 @@ def _generator_pattern(two_j):
     order = np.lexsort((rows, cols))
     indptr = np.zeros(d * d + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=d * d), out=indptr[1:])
-    out = [indptr, rows[order].astype(np.int32)]
-    out += [np.concatenate(part)[order] for part in zip(*values)]
+    units = np.stack([np.concatenate(part)[order] for part in zip(*values)])
+    out = (indptr, rows[order].astype(np.int32), units)
     for arr in out:
         arr.flags.writeable = False
-    return tuple(out)
+    return out
 
 
-def _generator_values(two_j, omega, gamma_a, nbar):
-    """The generator's entries in _generator_pattern's order.
+def _generator_values(units, omega, gamma_a, nbar):
+    """Generator entries from their (3, nnz) unit-rate drive, heating and decay values.
 
-    The cached unit-rate values combined with omega, gamma_a nbar / 2
-    and gamma_a (nbar + 1) / 2; rates of shape (k, 1) give (k, nnz).
+    The one rate formula: omega, gamma_a nbar / 2 and gamma_a (nbar + 1) / 2
+    times the three rows, for the units of _generator_pattern or of a
+    _gauged_block; rates of shape (k, 1) give (k, nnz).
     """
-    drive, heating, decay = _generator_pattern(two_j)[2:]
+    drive, heating, decay = units
     return (
         omega * drive
         + (gamma_a * nbar / 2.0) * heating
@@ -268,8 +274,8 @@ def build_liouvillian(params: ModelParams) -> "scipy.sparse.csc_array":
     import scipy.sparse as sp
 
     p = params
-    indptr, indices = _generator_pattern(p.j.two_j)[:2]
-    data = _generator_values(p.j.two_j, p.omega, p.gamma_a, p.nbar)
+    indptr, indices, units = _generator_pattern(p.j.two_j)
+    data = _generator_values(units, p.omega, p.gamma_a, p.nbar)
     n = len(indptr) - 1
     return sp.csc_array((data, indices, indptr), shape=(n, n))
 
@@ -304,82 +310,46 @@ def _gauge_phase(two_j):
 
 
 @functools.lru_cache(maxsize=64)
-def _real_gauge(two_j):
-    """The generator's two real blocks in the gauge of _gauge_phase.
+def _gauged_block(two_j, offset):
+    """One real block of the generator in the gauge of _gauge_phase, as canonical CSC.
 
-    The real generator maps real symmetric Y to real symmetric and real
-    antisymmetric to real antisymmetric, so Y = S + i K splits into the
-    upper triangle of S (d(d+1)/2 coordinates) and the strict upper
-    triangle of K (d(d-1)/2).  Row (a, b) reads X at (a, b),
-    (a +- 1, b), (a, b +- 1) and (a +- 1, b +- 1).  Diagonal rows read
-    just below the diagonal, which the symmetric block folds onto
-    S[c, e] = S[e, c]; rows above the diagonal read nothing below it, so
+    The gauged generator is real and maps real symmetric Y to real
+    symmetric and real antisymmetric to real antisymmetric, so
+    Y = S + i K splits into the upper triangle of S (offset 0,
+    d(d+1)/2 coordinates) and the strict upper triangle of K (offset 1,
+    d(d-1)/2).  Row (a, b) reads X at (a, b), (a +- 1, b), (a, b +- 1)
+    and (a +- 1, b +- 1).  Diagonal rows read just below the diagonal,
+    which the symmetric block folds onto S[c, e] = S[e, c], summing the
+    folded entries; rows above the diagonal read nothing below it, so
     the antisymmetric block needs no fold, and its diagonal columns drop
     out, K being 0 there.
 
-    Returns (ph, sym, anti): ph is the (d, d) phase i^(b - a), and each
-    block is (n, triangle, take, flat, unit): its size, its (rows,
-    columns) in Y, the generator entries it reads, where each lands in
-    the flattened n x n block, and the unit it is multiplied by before
-    its real part is taken.  All arrays are read-only.
+    Returns (triangle, indptr, indices, cols, units): the block's
+    coordinates as (rows, columns) in Y, its CSC structure, the column
+    of each entry, and the (3, nnz) real unit-rate drive, heating and
+    decay values (combine them with _generator_values).  All arrays are
+    read-only.
     """
     d = two_j + 1
-    ph, phase = _gauge_phase(two_j)
-    indptr, indices = _generator_pattern(two_j)[:2]
+    indptr, indices, units = _generator_pattern(two_j)
+    phase = _gauge_phase(two_j)[1]
     b_r, a_r = np.divmod(indices.astype(np.intp), d)
     b_c, a_c = np.divmod(np.repeat(np.arange(d * d), np.diff(indptr)), d)
-
-    def block(offset):
-        triangle = np.triu_indices(d, offset)
-        n = len(triangle[0])
-        coord = np.full((d, d), -1)
-        coord[triangle] = coord[triangle[::-1]] = np.arange(n)
-        cols = coord[a_c, b_c]
-        take = np.flatnonzero((b_r - a_r >= offset) & (cols >= 0))
-        return n, triangle, take, coord[a_r, b_r][take] * n + cols[take], phase[take]
-
-    sym, anti = block(0), block(1)
-    for arr in (*sym[1], *sym[2:], *anti[1], *anti[2:]):
-        arr.flags.writeable = False
-    return ph, sym, anti
-
-
-@functools.lru_cache(maxsize=64)
-def _symmetric_csc(two_j):
-    """Canonical CSC structure of _real_gauge's symmetric block.
-
-    Returns (indptr, indices, slot, trace): the structure, the data
-    position of each generator entry the block takes (an entry folded
-    onto an existing one shares its slot, so np.bincount sums them),
-    and the trace functional on the block's coordinates, 1 on the
-    diagonal ones.  All are read-only.
-    """
-    n, triangle, _, flat, _ = _real_gauge(two_j)[1]
-    rows, cols = np.divmod(flat, n)
-    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    triangle = np.triu_indices(d, offset)
+    n = len(triangle[0])
+    coord = np.full((d, d), -1)
+    coord[triangle] = coord[triangle[::-1]] = np.arange(n)
+    cols = coord[a_c, b_c]
+    take = np.flatnonzero((b_r - a_r >= offset) & (cols >= 0))
+    keys, slot = np.unique(cols[take] * n + coord[a_r, b_r][take], return_inverse=True)
+    gauged = (units[:, take] * phase[take]).real
+    block = np.stack([np.bincount(slot, weights=u, minlength=len(keys)) for u in gauged])
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    out = (indptr, (keys % n).astype(np.int32), slot, (triangle[0] == triangle[1]).astype(float))
-    for arr in out:
+    out = (indptr, (keys % n).astype(np.int32), keys // n, block)
+    for arr in (*triangle, *out):
         arr.flags.writeable = False
-    return out
-
-
-def _symmetric_block(params: ModelParams):
-    """(block, trace): the real symmetric block of the gauged generator.
-
-    The block of _real_gauge as canonical CSC on the structure of
-    _symmetric_csc, for the rates of params, and the trace functional,
-    its exact left kernel.
-    """
-    import scipy.sparse as sp
-
-    p = params
-    n, _, take, _, unit = _real_gauge(p.j.two_j)[1]
-    indptr, indices, slot, trace = _symmetric_csc(p.j.two_j)
-    values = _generator_values(p.j.two_j, p.omega, p.gamma_a, p.nbar)
-    data = np.bincount(slot, weights=(unit * values[take]).real, minlength=len(indices))
-    return sp.csc_array((data, indices, indptr), shape=(n, n)), trace
+    return (triangle, *out)
 
 
 def _step_runs(steps, slack):
@@ -403,13 +373,13 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
 
     Works in the real gauge rho = ph * (S + i K), ph[a, b] = i^(b - a),
     where the generator is real and keeps the real symmetric S and the
-    real antisymmetric K apart (see _real_gauge).  So the state moves
+    real antisymmetric K apart (see _gauged_block).  So the state moves
     as two coordinate vectors, the upper triangle of S and the strict
     upper triangle of K, each stepped with the exact propagator
     expm(L_block * dt) (scaling and squaring, Al-Mohy & Higham 2009)
-    of a real block of size d(d+1)/2 or d(d-1)/2.  K stays zero when it
-    starts at zero, as it does for Dicke projectors, and its block is
-    then skipped.  Steps that differ only by the rounding of
+    of a real block of size d(d+1)/2 or d(d-1)/2, made dense.  K stays
+    zero when it starts at zero, as it does for Dicke projectors, and
+    its block is then skipped.  Steps that differ only by the rounding of
     np.linspace share one propagator, so a uniform grid costs one
     matrix exponential per block.  The states are rebuilt together,
     Hermitian by construction, and checked as one stack
@@ -446,8 +416,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
         )
     # np.linspace steps differ from each other by about one ulp of the end time
     runs = _step_runs(steps, 4.0 * np.spacing(t_grid[-1]))
-    ph, sym, anti = _real_gauge(p.j.two_j)
-    work = len(runs) * (sym[0] ** 3 + anti[0] ** 3)
+    work = len(runs) * ((d * (d + 1) // 2) ** 3 + (d * (d - 1) // 2) ** 3)
     if work > EXPM_WORK_LIMIT:
         raise CapacityError(
             f"{len(runs)} distinct time steps at j = {p.j.j} cost {work:.2e} "
@@ -455,20 +424,19 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
             f"{EXPM_WORK_LIMIT:.0e}; use a uniform grid or fewer distinct steps"
         )
 
-    values = _generator_values(p.j.two_j, p.omega, p.gamma_a, p.nbar)
+    ph = _gauge_phase(p.j.two_j)[0]
     y0 = rho0 * ph.conj()
     states = np.zeros((n_times, d, d), dtype=complex)
-    for (n, triangle, take, flat, unit), part, y, sign in (
-        (sym, states.real, y0.real, 1.0),
-        (anti, states.imag, y0.imag, -1.0),
-    ):
+    for offset, part, y, sign in ((0, states.real, y0.real, 1.0), (1, states.imag, y0.imag, -1.0)):
+        triangle, _, indices, cols, units = _gauged_block(p.j.two_j, offset)
         x0 = y[triangle]
         if not x0.any():
             continue  # the blocks never mix, so a zero block stays zero
+        n = len(x0)
         x = np.empty((n_times, n))
         x[0] = x0
-        gen = np.bincount(flat, weights=(unit * values[take]).real, minlength=n * n)
-        gen = gen.reshape(n, n)
+        gen = np.zeros((n, n))
+        gen[indices, cols] = _generator_values(units, p.omega, p.gamma_a, p.nbar)
         for start, stop in runs:
             propagator = scipy.linalg.expm(gen * steps[start])
             for k in range(start, stop):
@@ -490,10 +458,11 @@ def _require_unique_steady(omega, gamma_a, nbar):
         raise ValidationError("no dissipation (gamma_a = 0): no relaxation to a steady state")
 
 
-def _steady_rho(Y, ph):
-    """rho = ph * sym(Y) / tr(Y) for one gauged kernel Y or a (k, d, d) stack."""
-    tr = np.trace(Y, axis1=-2, axis2=-1)[..., None, None]
-    return ph * ((Y + Y.swapaxes(-2, -1)) / (2.0 * tr))
+def _symmetric_rho(x, triangle, ph):
+    """rho = ph * S / tr(S) from (..., n) coordinates x of S on triangle."""
+    S = np.empty(x.shape[:-1] + ph.shape)
+    S[(..., *triangle)] = S[(..., *triangle[::-1])] = x
+    return ph * (S / np.trace(S, axis1=-2, axis2=-1)[..., None, None])
 
 
 def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAULT) -> np.ndarray:
@@ -507,13 +476,14 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
 
     Solves in the gauge of _gauge_phase, where the generator G is real
     and keeps the real symmetric S and the real antisymmetric K of
-    Y = S + i K apart (see _real_gauge).  The symmetric block is enough:
+    Y = S + i K apart (see _gauged_block).  The symmetric block is enough:
     the antisymmetric block holds only traceless Hermitian directions
     (rho = ph * i K has a zero diagonal), and a unique steady state has
     trace one, so G's one-dimensional kernel lies in the symmetric block
-    and the antisymmetric block is nonsingular.  Above j = 5 the block,
-    d(d+1)/2 unknowns instead of d^2, is factored once, bordered by the
-    trace functional, the indicator of the diagonal coordinates
+    and the antisymmetric block is nonsingular; it is never built here.
+    Above j = 5 the symmetric block of _gauged_block, d(d+1)/2 unknowns
+    instead of d^2, is factored once as CSC, bordered by the trace
+    functional, the indicator of the diagonal coordinates
     (linalg.null_vector: a dense inverse up to j = 7, SuperLU above);
     up to j = 5 the full d^2 x d^2 G is, bordered by vec(I).  Either
     border is the exact left kernel of the trace-preserving block it
@@ -542,13 +512,18 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
         G.data = (phase * G.data).real  # conj(ph_r) L[r, c] ph_c, on L's own structure
         # bordered by vec(I), d ones on the diagonal coordinates
         Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
-        return validate_density_matrix(_steady_rho(Y, ph), settings, "steady state")
-    ph, (_, triangle, *_), _ = _real_gauge(p.j.two_j)
-    block, trace = _symmetric_block(p)
-    x = null_vector(block, trace, settings)
-    S = np.empty((d, d))
-    S[triangle] = S[triangle[::-1]] = x
-    return validate_density_matrix(ph * (S / np.trace(S)), settings, "steady state")
+        rho = ph * ((Y + Y.T) / (2.0 * np.trace(Y)))
+        return validate_density_matrix(rho, settings, "steady state")
+    import scipy.sparse as sp
+
+    triangle, indptr, indices, _, units = _gauged_block(p.j.two_j, 0)
+    data = _generator_values(units, p.omega, p.gamma_a, p.nbar)
+    n = len(indptr) - 1
+    block = sp.csc_array((data, indices, indptr), shape=(n, n))
+    # bordered by the trace functional, 1 on the diagonal coordinates
+    x = null_vector(block, (triangle[0] == triangle[1]).astype(float), settings)
+    ph = _gauge_phase(p.j.two_j)[0]
+    return validate_density_matrix(_symmetric_rho(x, triangle, ph), settings, "steady state")
 
 
 def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings = DEFAULT) -> np.ndarray:
@@ -556,13 +531,14 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
 
     omega, gamma_a and nbar broadcast to one 1-D grid of k points, each
     finite and >= 0 with a unique steady state (see
-    steady_state_numeric).  The route is steady_state_numeric's for all
-    points at once: the k real gauged generators are assembled dense,
-    straight from the cached pattern and gauge phase, one null_vector
-    call solves the stack, and one validate_density_matrix call checks
-    it, naming a failing state by its parameters.  Only spins whose d^2
-    unknowns are within linalg's dense limit (j <= 5) are covered;
-    larger ones raise CapacityError.
+    steady_state_numeric).  The route is steady_state_numeric's above
+    j = 5, for all points at once: the k real symmetric blocks of the
+    gauged generator are assembled dense from the cached _gauged_block,
+    one null_vector call solves the stack bordered by the trace, and one
+    validate_density_matrix call checks it, naming a failing state by
+    its parameters.  Only spins whose d(d+1)/2 unknowns are within
+    linalg's dense limit (j <= 7) are covered; larger ones raise
+    CapacityError.
     """
     s = SpinQuantum.from_j(spin)
     rates = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (omega, gamma_a, nbar)))
@@ -573,20 +549,17 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
             raise ValidationError(f"{name} must be finite and >= 0 everywhere")
     omega, gamma_a, nbar = rates
     _require_unique_steady(omega, gamma_a, nbar)
-    d, n = s.dim, s.dim * s.dim
+    n = s.dim * (s.dim + 1) // 2
     if n > linalg._DENSE_LU_MAX:
         raise CapacityError(
-            f"steady_states_numeric covers d^2 <= {linalg._DENSE_LU_MAX} unknowns, "
+            f"steady_states_numeric covers d(d+1)/2 <= {linalg._DENSE_LU_MAX} unknowns, "
             f"got {n} at j = {s.j}; use steady_state_numeric"
         )
-    indptr, indices = _generator_pattern(s.two_j)[:2]
-    ph, phase = _gauge_phase(s.two_j)
-    values = _generator_values(s.two_j, omega[:, None], gamma_a[:, None], nbar[:, None])
+    triangle, _, indices, cols, units = _gauged_block(s.two_j, 0)
     G = np.zeros((len(omega), n, n))
-    G[:, indices, np.repeat(np.arange(n), np.diff(indptr))] = (phase * values).real
-    x = null_vector(G, np.eye(d).ravel(), settings)
-    # each C-order block is Y^T of the column-stacked Y, and sym(Y^T) = sym(Y)
-    rho = _steady_rho(x.reshape(-1, d, d), ph)
+    G[:, indices, cols] = _generator_values(units, omega[:, None], gamma_a[:, None], nbar[:, None])
+    x = null_vector(G, (triangle[0] == triangle[1]).astype(float), settings)
+    rho = _symmetric_rho(x, triangle, _gauge_phase(s.two_j)[0])
     return validate_density_matrix(
         rho, settings,
         lambda k: f"steady state at omega={omega[k]:g}, gamma_a={gamma_a[k]:g}, nbar={nbar[k]:g}",

@@ -3,7 +3,7 @@
 Basis ordering is |j, m> with m descending from +j to -j, so index 0 is
 the fully excited state and the lowering operator is strictly lower
 triangular.  All matrices are dense complex128; the largest j this
-package targets (j = 64) is a 129 x 129 matrix, far below any dense
+package targets (j = 128) is a 257 x 257 matrix, far below any dense
 limit.
 """
 

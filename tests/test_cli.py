@@ -146,6 +146,9 @@ def test_steady_tolerance_flag_accepted(tmp_path):
         ["steady", "--j", "1", "--gamma", "1", "--tolerance", "nan"],
         ["steady", "--j", "1", "--gamma", "1", "--tolerance", "inf"],
         ["steady", "--j", "1", "--gamma", "1", "--nb", "0.3"],  # no abbreviations
+        ["steady", "--j", "1", "--gamma", "-1"],
+        ["steady", "--j", "1", "--gamma", "1", "--nbar", "-0.5"],
+        ["evolve", "--j", "1", "--gamma-a", "1", "--omega", "-1", "--t-max", "1", "--output", "x.csv"],
     ],
 )
 def test_usage_errors_exit_2(args, capsys):

@@ -168,9 +168,10 @@ def test_liouvillian_equals_kronecker_sum(two_j):
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 8, 32])
 def test_generator_values_are_the_liouvillian_entries(two_j):
-    # evolve reads the values directly, in the CSC order of build_liouvillian
+    # the one rate formula, on the unit values in the CSC order of build_liouvillian
     p = ModelParams(j=two_j / 2.0, omega=1.3, gamma_a=0.7, nbar=0.4)
-    values = dynamics._generator_values(two_j, p.omega, p.gamma_a, p.nbar)
+    units = dynamics._generator_pattern(two_j)[2]
+    values = dynamics._generator_values(units, p.omega, p.gamma_a, p.nbar)
     assert np.array_equal(values, build_liouvillian(p).data)
 
 
@@ -552,22 +553,31 @@ def test_steady_factors_once(monkeypatch, j):
 
 @pytest.mark.parametrize("two_j", [1, 4, 11, 12, 32])
 def test_symmetric_block_is_the_folded_generator(two_j):
-    # column c of the block is the generator applied to the symmetric basis
-    # matrix of coordinate c, read on the upper triangle; the trace
-    # functional is its left kernel
+    # column c of a block is the gauged generator applied to the symmetric
+    # (offset 0) or antisymmetric (offset 1) basis matrix of coordinate c,
+    # read on the block's triangle; the trace functional is the symmetric
+    # block's left kernel
     p = ModelParams(j=two_j / 2.0, omega=0.9, gamma_a=1.7, nbar=0.4)
     d = p.j.dim
-    ph, (n, triangle, *_), _ = dynamics._real_gauge(two_j)
-    block, trace = dynamics._symmetric_block(p)
+    ph = dynamics._gauge_phase(two_j)[0]
     gauged = vec(ph).conj()[:, None] * build_liouvillian(p).toarray() * vec(ph)[None, :]
-    basis = np.zeros((d * d, n))
-    basis[triangle[0] + d * triangle[1], np.arange(n)] = 1.0
-    basis[triangle[1] + d * triangle[0], np.arange(n)] = 1.0
-    expected = (gauged @ basis)[triangle[0] + d * triangle[1]]
-    assert block.has_canonical_format
-    assert np.abs(block.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
-    assert np.array_equal(trace, (triangle[0] == triangle[1]).astype(float))
-    assert np.abs(trace @ block.toarray()).max() <= 1e-14 * np.abs(expected).max()
+    for offset, sign in ((0, 1.0), (1, -1.0)):
+        triangle, indptr, indices, cols, units = dynamics._gauged_block(two_j, offset)
+        n = len(triangle[0])
+        assert len(indptr) == n + 1 and units.shape == (3, len(indices))
+        assert np.array_equal(cols, np.repeat(np.arange(n), np.diff(indptr)))
+        data = dynamics._generator_values(units, p.omega, p.gamma_a, p.nbar)
+        block = sp.csc_array((data, indices, indptr), shape=(n, n))
+        assert block.has_canonical_format
+        basis = np.zeros((d * d, n))
+        basis[triangle[0] + d * triangle[1], np.arange(n)] = 1.0
+        basis[triangle[1] + d * triangle[0], np.arange(n)] = sign
+        expected = (gauged @ basis)[triangle[0] + d * triangle[1]]
+        assert np.abs(expected.imag).max() == 0.0
+        assert np.abs(block.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+        if offset == 0:
+            trace = (triangle[0] == triangle[1]).astype(float)
+            assert np.abs(trace @ block.toarray()).max() <= 1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("j", [5.5, 7, 8, 16, 32])
@@ -634,7 +644,7 @@ def test_steady_is_fixed_point_of_evolve():
     assert trace_distance(traj.states[-1], rho) < 1e-7
 
 
-@pytest.mark.parametrize("j", [0.5, 1, 2, 5])
+@pytest.mark.parametrize("j", [0.5, 1, 2, 5, 5.5, 7])
 def test_steady_states_numeric_matches_pointwise(j):
     rng = np.random.default_rng(int(2 * j))
     gamma_a = rng.uniform(0.01, 10.0, size=12)
@@ -650,7 +660,7 @@ def test_steady_states_numeric_matches_pointwise(j):
 
 def test_steady_states_numeric_input_checks():
     with pytest.raises(CapacityError, match="steady_state_numeric"):
-        steady_states_numeric(5.5, 1.0, [0.5], 0.0)
+        steady_states_numeric(7.5, 1.0, [0.5], 0.0)
     with pytest.raises(ValidationError, match="nbar"):
         steady_states_numeric(1, 1.0, [0.5, 0.6], [0.0, -0.1])
     with pytest.raises(ValidationError, match="gamma_a"):
@@ -669,12 +679,28 @@ def test_steady_states_numeric_names_the_failing_point(monkeypatch):
 
     def corrupted(G, border, settings):
         x = real(G, border, settings)
-        x[1] = np.diag([1.0, -0.5, 0.5]).ravel()
+        x[1] = [1.0, 0.0, 0.0, -0.5, 0.0, 0.5]  # diag(1, -0.5, 0.5) on the block
         return x
 
     monkeypatch.setattr(dynamics, "null_vector", corrupted)
     with pytest.raises(ValidationError, match=r"omega=1, gamma_a=0\.25, nbar=0\.5 not positive"):
         steady_states_numeric(1, 1.0, [0.5, 0.25, 0.125], 0.5)
+
+
+def test_fig1_stack_is_one_inverse_of_the_symmetric_blocks(monkeypatch):
+    # fig1's j = 1 stack solves the 6 coordinates of the real symmetric
+    # block, bordered by the trace: one inverse of a (k, 7, 7) stack
+    shapes = []
+    real_inv = np.linalg.inv
+
+    def inv(a):
+        shapes.append(a.shape)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    gammas = np.logspace(-2, 2, 9)
+    steady_states_numeric(1, 1.0, gammas, 0.3)
+    assert shapes == [(9, 7, 7)]
 
 
 def test_steady_independent_of_initial_state():

@@ -295,6 +295,7 @@ def test_trajectory_keeps_repelling_fixed_point():
 @example(radius=2.0, direction=(0.0, 0.0, -1.0), omega_r=2.5, span=50.0, log_grid=True)  # south pole
 @example(radius=3.0, direction=(0.0, 0.0, 1.0), omega_r=0.0, span=50.0, log_grid=False)  # repeller
 @example(radius=0.0, direction=(0.0, 0.0, 1.0), omega_r=1.0, span=10.0, log_grid=False)
+@example(radius=4.0, direction=(0.0, 1e-12, 1.0), omega_r=0.0, span=4.0, log_grid=False)  # tiny growing sy
 @hyp_settings(max_examples=60, deadline=None)
 def test_trajectory_matches_dop853(radius, direction, omega_r, span, log_grid):
     v = np.array(direction)
