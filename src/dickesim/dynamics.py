@@ -38,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapacityError, ValidationError
-from .linalg import as_complex_matrix, null_vector, require_hermitian
+from .linalg import null_vector
 from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, ladder_coefficients
 
@@ -118,32 +118,16 @@ class Trajectory:
             raise ValidationError("times and states lengths differ")
 
 
-def check_hermitian_unit_trace(rho, settings: NumericSettings = DEFAULT, name="rho"):
-    """The two state invariants that need no spectrum; returns the array."""
-    rho = as_complex_matrix(rho, name)
-    require_hermitian(rho, settings.hermiticity_tol, name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > settings.trace_tol:
-        raise ValidationError(f"{name} trace deviates from 1: tr = {tr!r}")
-    return rho
-
-
-def require_eig_floor(lowest, settings: NumericSettings = DEFAULT, name="rho"):
-    """The third invariant, given the smallest eigenvalue of the hermitized state."""
-    if lowest < settings.density_eig_floor:
-        raise ValidationError(
-            f"{name} not positive semidefinite: min eigenvalue {lowest:.3e}"
-        )
-
-
 def check_states(states, settings: NumericSettings, label, spectrum=np.linalg.eigvalsh):
-    """The three state invariants on a (k, d, d) stack.
+    """The three state invariants on a (k, d, d) stack, the one state check.
 
-    Returns spectrum(H) of the hermitized states H = (rho + rho^dag) / 2:
-    spectrum maps them to their ascending eigenvalues, or to a tuple
-    that starts with them (as np.linalg.eigh does).  The first failing
-    state, named label(k), raises the ValidationError that the
-    single-state checks raise for it.
+    Hermitian within hermiticity_tol, unit trace within trace_tol, and
+    smallest eigenvalue of the hermitized state H = (rho + rho^dag) / 2
+    above density_eig_floor.  Returns spectrum(H) of the states: spectrum
+    maps them to their ascending eigenvalues, or to a tuple that starts
+    with them (as np.linalg.eigh does).  The first failing state, named
+    label(k), raises a ValidationError naming the violated check:
+    non-finite entries, then Hermiticity, then trace, then positivity.
     """
     adjoint = states.conj().swapaxes(1, 2)
     with np.errstate(invalid="ignore"):  # inf - inf: reported as non-finite below
@@ -155,37 +139,45 @@ def check_states(states, settings: NumericSettings, label, spectrum=np.linalg.ei
     lowest = (out[0] if isinstance(out, tuple) else out)[:, 0]
     if first_bad and lowest.min() < settings.density_eig_floor:
         k = int(np.argmax(lowest < settings.density_eig_floor))
-        require_eig_floor(float(lowest[k]), settings, label(k))
+        raise ValidationError(
+            f"{label(k)} not positive semidefinite: min eigenvalue {lowest[k]:.3e}"
+        )
     if first_bad < len(states):
-        check_hermitian_unit_trace(states[first_bad], settings, label(first_bad))
+        bad, name = states[first_bad], label(first_bad)
+        if not np.all(np.isfinite(bad)):
+            raise ValidationError(f"{name} contains non-finite entries")
+        if defect[first_bad] > settings.hermiticity_tol:
+            raise ValidationError(
+                f"{name} is not Hermitian: max |A - A^dag| = {defect[first_bad]:.3e} "
+                f"> {settings.hermiticity_tol:.1e}"
+            )
+        raise ValidationError(f"{name} trace deviates from 1: tr = {complex(np.trace(bad))!r}")
     return out
 
 
 def stack_labels(name, shape):
     """label(k) for the k-th state of a stack of the given leading shape.
 
-    A callable name is used as it is; a string becomes name[index].
+    A callable name is used as it is; a string becomes name[index], or
+    name itself for a single state (shape ()).
     """
     if callable(name):
         return name
+    if not shape:
+        return lambda k: name
     return lambda k: f"{name}[{', '.join(str(i) for i in np.unravel_index(k, shape))}]"
 
 
 def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"):
-    """Check the three state invariants, returning the validated array.
+    """Check the three state invariants (check_states), returning the validated array.
 
-    Hermitian within hermiticity_tol, unit trace within trace_tol, and
-    smallest eigenvalue above density_eig_floor.  Raises ValidationError
-    naming the violated check.  rho may be one (d, d) state or a
-    (..., d, d) stack, checked in chunks of CHECK_CHUNK_ENTRIES entries;
-    the error then names the first failing state, as name(k) for the
-    k-th state in C order when name is callable, else as name[index].
+    rho may be one (d, d) state, checked as a stack of one and named
+    name, or a (..., d, d) stack, checked in chunks of
+    CHECK_CHUNK_ENTRIES entries; the error then names the first failing
+    state, as name(k) for the k-th state in C order when name is
+    callable, else as name[index].
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 2:  # one state: the same checks, without the stack's bookkeeping
-        rho = check_hermitian_unit_trace(rho, settings, name)
-        require_eig_floor(float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]), settings, name)
-        return rho
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] < 1:
         raise ValidationError(
             f"{name} must be a square matrix or a stack of them, got shape {rho.shape}"
@@ -396,6 +388,8 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ValidationError("t_grid must be a 1-D array of at least one time")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t_grid must hold finite times")
     if t_grid[0] != 0.0:
         raise ValidationError(f"t_grid must start at 0, got {t_grid[0]!r}")
     steps = np.diff(t_grid)

@@ -8,6 +8,8 @@ its constituents.  The reduction needs six collective moments, which
 it reads from the main diagonal and the first two subdiagonals of the
 state, so it costs O(d) beyond validating its input.  Its independent
 oracle, the brute-force 2^N embedding (N <= 8), lives in the tests.
+Every state they check goes through the one stacked state check of
+dynamics (check_states), a single state as a stack of one.
 
 Two-qubit basis order is (|ee>, |eg>, |ge>, |gg>) with |e> first in each
 factor.
@@ -18,14 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .dynamics import (
-    check_hermitian_unit_trace,
-    check_states,
-    require_eig_floor,
-    stack_labels,
-    validate_density_matrix,
-)
-from .linalg import as_complex_matrix
+from .dynamics import check_states, stack_labels, validate_density_matrix
 from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, ladder_coefficients, m_values
 
@@ -36,13 +31,6 @@ _ISO = np.zeros((4, 3))
 _ISO[0, 0] = 1.0
 _ISO[1, 1] = _ISO[2, 1] = 1.0 / np.sqrt(2.0)
 _ISO[3, 2] = 1.0
-
-
-def _as_two_qubit(rho, name):
-    rho = as_complex_matrix(rho, name)
-    if rho.shape != (4, 4):
-        raise ValidationError(f"{name} must be 4x4, got {rho.shape}")
-    return rho
 
 
 def concurrence(rho, settings: NumericSettings = DEFAULT):
@@ -56,18 +44,13 @@ def concurrence(rho, settings: NumericSettings = DEFAULT):
     non-Hermitian product lose half the digits.  The one eigh that
     gives the factor also gives the positivity check of the input.
 
-    One 4x4 state gives a float.  A (..., 4, 4) stack gives an array of
-    its concurrences, computed in one pass after one check of the whole
-    stack, which names the first failing state as rho[index].
+    The state or stack is checked as one stack (dynamics.check_states),
+    which names the first failing state as rho, or rho[index] in a
+    stack, and the concurrences come from one pass over it.  One 4x4
+    state gives a float, a (..., 4, 4) stack an array of the stack's
+    leading shape.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 2:  # one state: the same checks, without the stack's bookkeeping
-        rho = check_hermitian_unit_trace(_as_two_qubit(rho, "rho"), settings, "rho")
-        w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-        require_eig_floor(float(w[0]), settings, "rho")
-        x = v * np.sqrt(np.clip(w, 0.0, None))
-        lam = np.linalg.svd(x.T @ _YY @ x, compute_uv=False)
-        return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValidationError(f"rho must be 4x4 or a stack of 4x4 states, got {rho.shape}")
     w, v = check_states(rho.reshape(-1, 4, 4), settings,
@@ -75,7 +58,7 @@ def concurrence(rho, settings: NumericSettings = DEFAULT):
     x = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     lam = np.linalg.svd(x.swapaxes(1, 2) @ _YY @ x, compute_uv=False)
     c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-    return c.reshape(rho.shape[:-2])
+    return float(c[0]) if rho.ndim == 2 else c.reshape(rho.shape[:-2])
 
 
 def triplet_to_two_qubit(rho3, settings: NumericSettings = DEFAULT) -> np.ndarray:
@@ -108,7 +91,9 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
     s = SpinQuantum.from_j(spin)
     if s.two_j < 2:
         raise ValidationError(f"pair reduction needs j >= 1, got j = {s.j}")
-    rho = as_complex_matrix(rho, "rho")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2:
+        raise ValidationError(f"rho must be 2-dimensional, got shape {rho.shape}")
     if rho.shape[0] != s.dim:
         raise ValidationError(f"state dimension {rho.shape[0]} does not match j = {s.j}")
     validate_density_matrix(rho, settings, "rho")

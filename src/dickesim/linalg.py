@@ -1,9 +1,10 @@
-"""Null vectors and input checks for dense and scipy.sparse matrices.
+"""Null vectors of dense and scipy.sparse matrices, with their input checks.
 
 The point is not the math (LAPACK and SuperLU do that) but the
-guarantees: input is checked to be a finite square matrix (Hermitian
-where required), and an ill-posed null-space problem raises a typed
-error instead of handing back garbage.  null_vector factors the matrix
+guarantees: input is checked to be a finite square matrix, and an
+ill-posed null-space problem raises a typed error instead of handing
+back garbage.  (Density matrices are checked elsewhere, by
+dynamics.check_states.)  null_vector factors the matrix
 once, bordered by a vector its caller chooses, in the matrix's own
 dtype.  Up to _DENSE_LU_MAX unknowns one numpy kernel inverts the
 bordered matrix, of one matrix or of a (k, n, n) stack at once, which
@@ -41,21 +42,12 @@ _SPLU_OPTIONS = dict(
 )
 
 
-def _require_square(shape, name, stack=False):
+def _require_square(shape, stack=False):
     ndim = 3 if stack else 2
     if len(shape) != ndim:
-        raise ValidationError(f"{name} must be {ndim}-dimensional, got ndim={len(shape)}")
+        raise ValidationError(f"matrix must be {ndim}-dimensional, got ndim={len(shape)}")
     if shape[-2] != shape[-1] or shape[-1] < 1:
-        raise ValidationError(f"{name} must be square and nonempty, got shape {shape}")
-
-
-def as_complex_matrix(entries, name="matrix"):
-    """Coerce to a finite complex128 2D square array or raise ValidationError."""
-    A = np.asarray(entries, dtype=complex)
-    _require_square(A.shape, name)
-    if not np.all(np.isfinite(A)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return A
+        raise ValidationError(f"matrix must be square and nonempty, got shape {shape}")
 
 
 def _is_sparse(entries):
@@ -77,19 +69,6 @@ def _as_csc(entries, name="matrix"):
     if not np.all(np.isfinite(A.data)):
         raise ValidationError(f"{name} contains non-finite entries")
     return A
-
-
-def hermiticity_defect(A):
-    """Largest entrywise deviation from A = A^dag."""
-    return float(np.abs(A - A.conj().T).max())
-
-
-def require_hermitian(A, tol, name="matrix"):
-    defect = hermiticity_defect(A)
-    if defect > tol:
-        raise ValidationError(
-            f"{name} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.1e}"
-        )
 
 
 def _inverse_norm1_estimate(solve, n, dtype):
@@ -230,7 +209,7 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT):
     sparse = _is_sparse(A)
     A = A if sparse else np.asarray(A)
     stack = not sparse and A.ndim == 3
-    _require_square(A.shape, "matrix", stack)
+    _require_square(A.shape, stack)
     n = A.shape[-1]
     border = np.asarray(border).reshape(-1)
     if border.shape != (n,) or not np.all(np.isfinite(border)) or not border.any():
@@ -240,7 +219,7 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT):
         A = (A.toarray() if sparse else A).reshape(-1, n, n)
         if not np.all(np.isfinite(A)):
             raise ValidationError("matrix contains non-finite entries")
-        fnorm = np.linalg.norm(A.reshape(len(A), -1), axis=1)
+        fnorm = np.linalg.norm(A.reshape(len(A), n * n), axis=1)
     elif stack:
         raise ValidationError(f"a stack of matrices needs at most {_DENSE_LU_MAX} unknowns")
     else:

@@ -41,6 +41,7 @@ fixed points, one attracting) to elliptic (rotation about two centres).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,7 +256,11 @@ def integrate_meanfield(s0, omega_r, tau_grid) -> np.ndarray:
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValidationError("tau_grid must be a 1-D array of at least one time")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
+    # an ascending grid holds finite times and finite steps iff its span is finite
+    if not math.isfinite(float(grid[-1]) - float(grid[0])):
+        raise ValidationError("tau_grid must hold finite times and finite steps")
+    h = np.diff(grid)
+    if not np.all(h > 0):
         raise ValidationError("tau_grid must be strictly ascending")
 
     out = np.empty((len(grid), 3))
@@ -269,7 +274,6 @@ def integrate_meanfield(s0, omega_r, tau_grid) -> np.ndarray:
     # scaled by the larger of cos(theta/2), sin(theta/2), so no pole gives psi ~ 0
     psi = np.array([r + sz, sx + 1j * sy]) if sz >= 0.0 else np.array([sx - 1j * sy, r - sz])
     gen = -0.5 * np.array([[r, 1j * omega_r], [1j * omega_r, -r]])
-    h = np.diff(grid)
     gap = (omega_r - r) * (omega_r + r)          # -4 A^2
     if gap > 0.0:
         mu = 0.5 * np.sqrt(gap)

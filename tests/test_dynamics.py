@@ -28,6 +28,7 @@ from dickesim import dynamics, linalg
 from dickesim.settings import DEFAULT
 from util import (
     build_jplus,
+    corrupt_state,
     liouvillian_kron,
     master_equation_rhs,
     random_density,
@@ -198,19 +199,6 @@ def test_validate_rejects_negative_state():
         validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
 
 
-def _corrupt(kind, rho):
-    bad = rho.copy()
-    if kind == "trace":
-        bad *= 1.01
-    elif kind == "Hermitian":
-        bad[0, 1] += 1e-6
-    elif kind == "positive":
-        bad = np.diag([1.5, -0.5, 0.0]).astype(complex)
-    else:
-        bad[1, 1] = np.nan
-    return bad
-
-
 @pytest.mark.parametrize("kind", ["trace", "Hermitian", "positive", "non-finite"])
 @pytest.mark.parametrize("chunk_entries", [dynamics.CHECK_CHUNK_ENTRIES, 9])
 def test_validate_stack_names_the_first_bad_state(monkeypatch, kind, chunk_entries):
@@ -219,8 +207,8 @@ def test_validate_stack_names_the_first_bad_state(monkeypatch, kind, chunk_entri
     rng = np.random.default_rng(11)
     stack = np.array([random_density(rng, 3) for _ in range(6)])
     assert validate_density_matrix(stack) is not None
-    stack[3] = _corrupt(kind, stack[3])
-    stack[5] = _corrupt("positive", stack[5])
+    stack[3] = corrupt_state(kind, stack[3])
+    stack[5] = corrupt_state("positive", stack[5])
     with pytest.raises(ValidationError, match=rf"rho\[3\] .*{kind}"):
         validate_density_matrix(stack)
     with pytest.raises(ValidationError, match=rf"rho\[1, 0\] .*{kind}"):
@@ -233,7 +221,7 @@ def test_validate_stack_matches_single_state_checks():
     rng = np.random.default_rng(12)
     stack = np.array([random_density(rng, 4) for _ in range(5)])
     assert np.array_equal(validate_density_matrix(stack), stack)
-    for bad in (_corrupt(kind, stack[0][:3, :3] / np.trace(stack[0][:3, :3]))
+    for bad in (corrupt_state(kind, stack[0][:3, :3] / np.trace(stack[0][:3, :3]))
                 for kind in ("trace", "Hermitian", "positive", "non-finite")):
         with pytest.raises(ValidationError) as single:
             validate_density_matrix(bad)
@@ -406,6 +394,17 @@ def test_evolve_work_bound_raises_before_any_propagator(monkeypatch):
         evolve(rho0, p, np.concatenate([[0.0], np.logspace(-2.0, 1.0, 100)]))
     with pytest.raises(CapacityError, match="state entries"):
         evolve(rho0, p, np.linspace(0.0, 1.0, 10_000))
+
+
+def test_evolve_rejects_non_finite_grid_before_any_propagator(monkeypatch):
+    def no_expm(a):
+        raise AssertionError("expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", no_expm)
+    p = ModelParams(j=1, omega=1.0, gamma_a=1.0, nbar=0.3)
+    for grid in ([0.0, np.inf], [0.0, 1.0, np.nan], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValidationError, match="finite"):
+            evolve(dicke_projector(1, 1), p, grid)
 
 
 def test_evolve_tight_working_tolerance_returns():
@@ -671,6 +670,11 @@ def test_steady_states_numeric_input_checks():
         steady_states_numeric(1, [1.0, 0.0], 0.5, 0.3)
     with pytest.raises(ValidationError, match="no dissipation"):
         steady_states_numeric(1, 1.0, [0.5, 0.0], 0.3)
+
+
+def test_empty_grids_give_empty_results():
+    assert steady_states_numeric(1, 1.0, np.array([]), 0.0).shape == (0, 3, 3)
+    assert linalg.null_vector(np.zeros((0, 3, 3)), np.ones(3)).shape == (0, 3)
 
 
 def test_steady_states_numeric_names_the_failing_point(monkeypatch):

@@ -12,7 +12,7 @@ from dickesim import (
     steady_state_analytic,
     triplet_to_two_qubit,
 )
-from util import pair_reduced_brute_force, random_density, random_unitary
+from util import corrupt_state, pair_reduced_brute_force, random_density, random_unitary
 
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -124,6 +124,18 @@ def test_concurrence_input_validation():
     bad[0, 1] = 0.3
     with pytest.raises(ValidationError):
         concurrence(bad)
+
+
+def test_concurrence_single_state_matches_stack_checks():
+    rho = random_density(np.random.default_rng(43), 4)
+    for kind in ("trace", "Hermitian", "positive", "non-finite"):
+        bad = corrupt_state(kind, rho)
+        with pytest.raises(ValidationError) as single:
+            concurrence(bad)
+        with pytest.raises(ValidationError) as stacked:
+            concurrence(bad[None])
+        assert kind in str(single.value)
+        assert str(stacked.value) == str(single.value).replace("rho ", "rho[0] ", 1)
 
 
 # ---------------------------------------------------------------- embedding
@@ -270,7 +282,7 @@ def test_pair_reduction_large_j_smoke():
 def test_pair_reduction_validation():
     with pytest.raises(ValidationError):
         pair_reduced_state(np.eye(2) / 2.0, 0.5)  # a single qubit has no pair
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"state dimension 3 does not match j = 2"):
         pair_reduced_state(np.eye(3) / 3.0, 2)  # dimension mismatch
     with pytest.raises(CapacityError):
         pair_reduced_brute_force(np.eye(11) / 11.0, 5)

@@ -296,6 +296,8 @@ def test_trajectory_keeps_repelling_fixed_point():
 @example(radius=3.0, direction=(0.0, 0.0, 1.0), omega_r=0.0, span=50.0, log_grid=False)  # repeller
 @example(radius=0.0, direction=(0.0, 0.0, 1.0), omega_r=1.0, span=10.0, log_grid=False)
 @example(radius=4.0, direction=(0.0, 1e-12, 1.0), omega_r=0.0, span=4.0, log_grid=False)  # tiny growing sy
+@example(radius=2.0, direction=(0.0, 2.5140738220139062e-46, 0.125), omega_r=0.0, span=41.0,
+         log_grid=False)  # sy starts near 4e-45
 @hyp_settings(max_examples=60, deadline=None)
 def test_trajectory_matches_dop853(radius, direction, omega_r, span, log_grid):
     v = np.array(direction)
@@ -317,3 +319,10 @@ def test_trajectory_grid_handling():
     assert np.array_equal(single[0], s0)
     with pytest.raises(ValidationError):
         integrate_meanfield(s0, 0.5, [0.0, 2.0, 1.0])
+
+
+def test_trajectory_rejects_non_finite_grid():
+    s0 = [0.3, 0.0, -0.5]
+    for grid in ([0.0, 0.1, np.inf], [-np.inf, 0.0], [0.0, np.nan], [-1e308, 1e308]):
+        with pytest.raises(ValidationError, match="finite"):
+            integrate_meanfield(s0, 1.5, grid)

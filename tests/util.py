@@ -18,7 +18,7 @@ from dickesim import (
     validate_density_matrix,
 )
 from dickesim import dynamics
-from dickesim.linalg import as_complex_matrix, null_vector
+from dickesim.linalg import null_vector
 
 
 def trace_distance(a, b):
@@ -32,6 +32,20 @@ def random_density(rng, dim, rank=None):
     x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def corrupt_state(kind, rho):
+    """A copy of rho that fails one state check: trace, Hermitian, positive or non-finite."""
+    bad = rho.copy()
+    if kind == "trace":
+        bad *= 1.01
+    elif kind == "Hermitian":
+        bad[0, 1] += 1e-6
+    elif kind == "positive":
+        bad = np.diag([1.5, -0.5] + [0.0] * (len(rho) - 2)).astype(complex)
+    else:
+        bad[1, 1] = np.nan
+    return bad
 
 
 def vec(rho):
@@ -125,7 +139,9 @@ def null_vector_svd(A, settings=DEFAULT):
     the second smallest above null_gap_rtol * ||A||_F; otherwise
     DegenerateKernelError.
     """
-    A = as_complex_matrix(A)
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.all(np.isfinite(A)):
+        raise ValidationError(f"matrix must be finite and square, got shape {A.shape}")
     fnorm = float(np.linalg.norm(A, "fro"))
     if fnorm == 0.0:
         if A.shape[0] == 1:
@@ -186,9 +202,9 @@ def pair_reduced_brute_force(rho, spin):
     n = s.two_j
     if n > 8:
         raise CapacityError(f"brute-force embedding capped at N = 8 qubits, got N = {n}")
-    rho = as_complex_matrix(rho, "rho")
-    if rho.shape[0] != s.dim:
-        raise ValidationError(f"state dimension {rho.shape[0]} does not match j = {s.j}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (s.dim, s.dim):
+        raise ValidationError(f"state shape {rho.shape} does not match j = {s.j}")
     validate_density_matrix(rho, name="rho")
 
     embed = np.zeros((2 ** n, s.dim))
@@ -222,7 +238,10 @@ def meanfield_dop853(s0, omega_r, taus):
     """DOP853 solution of the Bloch equations, the independent check on integrate_meanfield.
 
     atol is far below any component, so rtol governs even a component
-    that starts near 1e-12 and grows as e^(r tau).
+    that starts near 1e-45 and grows as e^(r tau).  Over r <= 4 and
+    tau <= 50 that growth is at most e^200 ~ 7e86, so the absolute
+    error stays below 1e-33.  At atol = 1e-200 and below, scipy's error
+    norm overflows on a subnormal component.
     """
 
     def rhs(_tau, s):
@@ -231,7 +250,7 @@ def meanfield_dop853(s0, omega_r, taus):
 
     sol = scipy.integrate.solve_ivp(
         rhs, (taus[0], taus[-1]), np.asarray(s0, dtype=float),
-        method="DOP853", t_eval=taus, rtol=1e-13, atol=1e-30,
+        method="DOP853", t_eval=taus, rtol=1e-13, atol=1e-120,
     )
     if not sol.success:
         raise RuntimeError(f"DOP853 reference failed: {sol.message}")
