@@ -462,9 +462,10 @@ def _cmd_steady(options):
             f"nbar = {_fmt(options['nbar'])}",
             "matrix real part:",
         ]
-        lines += ["  " + " ".join(_fmt(v) for v in row) for row in rho.real]
+        # repr of the rows' Python floats is _fmt's text, without a call per entry
+        lines += ["  " + " ".join(map(repr, row)) for row in rho.real.tolist()]
         lines.append("matrix imaginary part:")
-        lines += ["  " + " ".join(_fmt(v) for v in row) for row in rho.imag]
+        lines += ["  " + " ".join(map(repr, row)) for row in rho.imag.tolist()]
         if label is not None:
             lines.append(f"{label} = {_fmt(value)}")
         text = "\n".join(lines) + "\n"

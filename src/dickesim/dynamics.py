@@ -398,10 +398,8 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
     _require_dense(p)
     rho0 = validate_density_matrix(rho0, settings, "rho0")
     d = p.j.dim
-    if rho0.shape[0] != d:
-        raise ValidationError(
-            f"rho0 dimension {rho0.shape[0]} does not match j = {p.j.j} (dim {d})"
-        )
+    if rho0.shape != (d, d):
+        raise ValidationError(f"rho0 shape {rho0.shape} does not match j = {p.j.j} (dim {d})")
     n_times = len(t_grid)
     if n_times * d * d > STATE_ENTRY_LIMIT:
         raise CapacityError(

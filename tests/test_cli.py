@@ -109,6 +109,22 @@ def test_steady_output_file_matches_stdout(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == stdout_text
 
 
+@pytest.mark.parametrize("j", [1, 2, 16])
+def test_steady_matrix_text_is_fmt_per_entry(j, capsys):
+    gamma_a = 0.5 if j < 16 else 1.0 / (0.9 * j)
+    args = ["--j", str(j), "--omega", "1", "--gamma-a", repr(gamma_a), "--nbar", "0.3"]
+    assert run_cli(["steady"] + args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rho = dickesim.steady_state_numeric(dickesim.ModelParams(j=j, omega=1.0, gamma_a=gamma_a, nbar=0.3))
+    expected = ["matrix real part:"]
+    expected += ["  " + " ".join(cli._fmt(v) for v in row) for row in rho.real]
+    expected.append("matrix imaginary part:")
+    expected += ["  " + " ".join(cli._fmt(v) for v in row) for row in rho.imag]
+    start = lines.index("matrix real part:")
+    assert lines[start:start + len(expected)] == expected
+    assert "-0.0" in " ".join(expected).split()  # a negative zero keeps its sign
+
+
 def test_steady_tolerance_flag_accepted(tmp_path):
     _, rho = steady_json(
         tmp_path,

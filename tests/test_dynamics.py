@@ -285,6 +285,14 @@ def test_evolve_grid_validation():
         evolve(np.eye(2, dtype=complex) / 2.0, p, [0.0, 1.0])
 
 
+def test_evolve_rejects_a_stack_as_rho0():
+    # a (3, 3, 3) stack of valid j = 1 states passes the state check and its
+    # leading axis matches d, so only the full shape tells it from one state
+    p = ModelParams(j=1, omega=1.0, gamma_a=1.0)
+    with pytest.raises(ValidationError, match=r"rho0 shape \(3, 3, 3\)"):
+        evolve(np.stack([np.eye(3) / 3.0] * 3), p, [0.0, 1.0])
+
+
 def test_evolve_single_point_grid():
     p = ModelParams(j=1, omega=1.0, gamma_a=1.0)
     traj = evolve(dicke_projector(1, 1), p, [0.0])

@@ -1,4 +1,6 @@
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dickesim import (
     meanfield_rhs,
     stable_branch_summary,
 )
+from dickesim import semiclassical
 from dickesim.settings import DEFAULT
 from dickesim.semiclassical import _jacobian_kernel
 from util import (
@@ -228,6 +231,65 @@ def test_fixed_point_reports_equal_per_drive_oracle():
 ], ids=["paper", "narrow", "fine"])
 def test_bifurcation_scan_equals_per_drive_oracle(grid):
     assert bifurcation_scan(grid) == bifurcation_per_drive(grid, DEFAULT.bifurcation_tol)
+
+
+@given(
+    lo=st.floats(0.0, 0.999),
+    hi=st.floats(1.0, 4.0),
+    count=st.integers(2, 60),
+    exponent=st.floats(-15.0, -1.0),
+)
+@example(lo=0.05, hi=2.0, count=40, exponent=-6.0)
+@example(lo=0.999, hi=1.0, count=2, exponent=-15.0)
+@hyp_settings(max_examples=60, deadline=None)
+def test_bifurcation_scan_equals_per_drive_oracle_on_drawn_grids(lo, hi, count, exponent):
+    grid = np.linspace(lo, hi, count)
+    tol = 10.0 ** exponent
+    critical = bifurcation_scan(grid, replace(DEFAULT, bifurcation_tol=tol))
+    assert critical == bifurcation_per_drive(grid, tol)
+
+
+def _count_passes(monkeypatch, limit=200):
+    """Count _equilibria calls; raise past limit, so a runaway bisection fails."""
+    calls = []
+    real = semiclassical._equilibria
+
+    def counted(omega_r):
+        calls.append(len(omega_r))
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} mean-field passes")
+        return real(omega_r)
+
+    monkeypatch.setattr(semiclassical, "_equilibria", counted)
+    return calls
+
+
+def test_bifurcation_scan_bisects_a_tree_per_pass(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    bifurcation_scan(np.linspace(0.05, 2.0, 40))
+    # the grid pass plus 16 bisection levels, _TREE_DEPTH of them a pass
+    assert len(calls) <= 1 + math.ceil(16 / semiclassical._TREE_DEPTH)
+    assert max(calls[1:]) <= 2 ** semiclassical._TREE_DEPTH - 1
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300, 5e-324])
+def test_bifurcation_scan_below_float_spacing_ends_at_adjacent_doubles(monkeypatch, tol):
+    grid = np.linspace(0.1, 2.0, 20)
+    calls = _count_passes(monkeypatch)
+    critical = bifurcation_scan(grid, replace(DEFAULT, bifurcation_tol=tol))
+    assert critical == 1.0
+    monkeypatch.undo()
+    assert critical == bifurcation_per_drive(grid, tol)
+    # the 0.1-wide bracket below 1 halves to adjacent doubles in 50 levels
+    assert len(calls) <= 1 + math.ceil(50 / semiclassical._TREE_DEPTH)
+
+
+@pytest.mark.parametrize("tol", [-1e-6, -np.inf, np.nan])
+def test_bifurcation_scan_rejects_bad_tolerance_before_any_pass(monkeypatch, tol):
+    calls = _count_passes(monkeypatch)
+    with pytest.raises(ValidationError, match="bifurcation_tol"):
+        bifurcation_scan(np.linspace(0.1, 2.0, 20), replace(DEFAULT, bifurcation_tol=tol))
+    assert calls == []
 
 
 def test_scalar_and_array_summaries_agree():

@@ -324,7 +324,11 @@ def branch_summary_per_drive(omega_r):
 
 
 def bifurcation_per_drive(grid, tol):
-    """The critical drive by a scalar scan of the grid and bisection to tol."""
+    """The critical drive by a scalar scan of the grid and bisection to tol.
+
+    The bisection also stops once the midpoint is not strictly inside the
+    bracket, so tol = 0 ends at adjacent doubles.
+    """
 
     def attracting(omega_r):
         return branch_summary_per_drive(omega_r)[1] < -_STABILITY_MARGIN
@@ -334,6 +338,8 @@ def bifurcation_per_drive(grid, tol):
     lo, hi = grid[k], grid[k + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: no finer bracket exists
+            break
         if attracting(mid):
             lo = mid
         else:
