@@ -563,6 +563,9 @@ def main(argv=None) -> int:
     except DickeSimError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory; try a smaller j or grid\n")
+        return 1
     except OSError as exc:
         sys.stderr.write(f"I/O error: {exc}\n")
         return 1

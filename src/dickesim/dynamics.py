@@ -10,22 +10,24 @@ with mean occupation nbar.  In matrix form the generator is
 
 Superoperators use column stacking throughout: vec(A X B) = (B^T kron A) vec(X).
 
-The generator's structure and unit-rate values are cached per 2j
-(_generator_pattern), and one formula combines them with the rates
-(_generator_values).  Both numeric routes work in the real gauge
-rho[a, b] = i^(b - a) Y[a, b].  There the generator is real and never
-mixes the real symmetric and the real antisymmetric part of Y, and one
-cached builder, _gauged_block, folds it into these two real blocks, of
-d(d+1)/2 and d(d-1)/2 coordinates.  evolve propagates the two parts as
-coordinate vectors, with exact matrix exponentials of the dense blocks
-instead of one complex d^2 x d^2 one.  Its work and memory are bounded
-up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the states are
-checked in bounded chunks.  Steady states are the kernel of the
-symmetric block: one state at a time (steady_state_numeric, as sparse
-CSC above j = 5; up to it, on the full d^2 gauged generator), or a
-whole parameter grid of spins up to j = 7 as one dense stack
-(steady_states_numeric).  scipy is imported only by evolve
-(scipy.linalg, for expm), build_liouvillian and steady_state_numeric
+The generator is written once, as a seven-term stencil (_stencil) in the
+real gauge rho[a, b] = i^(b - a) Y[a, b], where every coefficient is
+real; one formula combines its unit-rate values with the rates
+(_generator_values).  build_liouvillian runs it on all d^2 rows
+(_generator_pattern, cached per 2j) and multiplies each entry by its
+phase i^(da - db) to act on rho.  The gauged generator never mixes the
+real symmetric and the real antisymmetric part of Y, and _gauged_block
+runs the stencil straight on the rows of each part, giving two real
+blocks of d(d+1)/2 and d(d-1)/2 coordinates.  evolve propagates the two
+parts as coordinate vectors, with exact matrix exponentials of the dense
+blocks instead of one complex d^2 x d^2 one.  Its work and memory are
+bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the states
+are checked in bounded chunks.  Steady states are the kernel of the
+symmetric block, solved for a whole parameter grid at once
+(steady_states_numeric: one dense stack up to j = 7, SuperLU a point at
+a time above); steady_state_numeric solves one point, on the full d^2
+gauged generator up to j = 5.  scipy is imported only by evolve
+(scipy.linalg, for expm), build_liouvillian and the steady states
 (scipy.sparse).
 """
 
@@ -191,50 +193,69 @@ def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"
     return rho
 
 
-@functools.lru_cache(maxsize=64)
-def _generator_pattern(two_j):
-    """CSC structure of the generator and its three unit-rate value arrays.
+def _stencil(two_j, a, b):
+    """The generator's seven-term stencil on rows (a, b), in the real gauge.
 
-    Row a + d b of L vec(X) is drho[a, b].  With c_k = J-[k+1, k], it
-    reads X at (a, b) and at six neighbours:
+    In the gauge rho[a, b] = i^(b - a) Y[a, b] every coefficient is
+    real.  With c_k = J-[k+1, k], row (a, b) reads dY[a, b] from Y at
+    (a, b) and at six neighbours:
 
-        drive (omega = 1):  -i/2 (c_a X[a+1, b] + c_{a-1} X[a-1, b]
-                                  - c_b X[a, b+1] - c_{b-1} X[a, b-1])
-        heating (rate 1):   2 c_a c_b X[a+1, b+1] - (c_{a-1}^2 + c_{b-1}^2) X[a, b]
-        decay (rate 1):     2 c_{a-1} c_{b-1} X[a-1, b-1] - (c_a^2 + c_b^2) X[a, b]
+        drive (omega = 1):  -1/2 (c_a Y[a+1, b] - c_{a-1} Y[a-1, b]
+                                  + c_b Y[a, b+1] - c_{b-1} Y[a, b-1])
+        heating (rate 1):   2 c_a c_b Y[a+1, b+1] - (c_{a-1}^2 + c_{b-1}^2) Y[a, b]
+        decay (rate 1):     2 c_{a-1} c_{b-1} Y[a-1, b-1] - (c_a^2 + c_b^2) Y[a, b]
 
-    where c_{-1} = c_{2j} = 0.  Each value is computed as in the
-    Kronecker-sum form, so build_liouvillian reproduces it bit for bit.
-    Returns (indptr, indices, units): units is the (3, nnz) complex
-    array of drive, heating and decay values.  All are read-only.
+    where c_{-1} = c_{2j} = 0; sources outside the d x d square are
+    dropped.  The entry of a source offset (da, db) in the ungauged
+    generator, which acts on rho, is i^(da - db) times its gauged value.
+    Returns (row, source_a, source_b, units, phase): for each entry, the
+    index of its row in a and b, its source, its (3,) real unit-rate
+    drive, heating and decay values as one (3, m) array, and its phase
+    i^(da - db).  Entries come term by term, in the order above.
     """
     d = two_j + 1
     c = ladder_coefficients(SpinQuantum(two_j))
     up = np.append(c, 0.0)         # up[k] = J+[k, k+1]
     down = np.insert(c, 0, 0.0)    # down[k] = J-[k, k-1]
-    b, a = np.divmod(np.arange(d * d), d)
-    zero = np.zeros(d * d)
-    terms = (  # (row shift, column shift, drive, heating, decay) of the source X entry
-        (1, 0, -0.5j * up[a], zero, zero),
-        (-1, 0, -0.5j * down[a], zero, zero),
-        (0, 1, 0.5j * up[b], zero, zero),
-        (0, -1, 0.5j * down[b], zero, zero),
+    zero = np.zeros(len(a))
+    terms = (  # (row shift, column shift, drive, heating, decay) of the source Y entry
+        (1, 0, -0.5 * up[a], zero, zero),
+        (-1, 0, 0.5 * down[a], zero, zero),
+        (0, 1, -0.5 * up[b], zero, zero),
+        (0, -1, 0.5 * down[b], zero, zero),
         (1, 1, zero, 2.0 * up[a] * up[b], zero),
         (-1, -1, zero, zero, 2.0 * down[a] * down[b]),
         (0, 0, zero, -(down[a] * down[a] + down[b] * down[b]), -(up[a] * up[a] + up[b] * up[b])),
     )
-    rows, cols, values = [], [], []
+    entries = []
     for da, db, *parts in terms:
-        keep = (a + da >= 0) & (a + da < d) & (b + db >= 0) & (b + db < d)
-        rows.append((a + d * b)[keep])
-        cols.append((a + da + d * (b + db))[keep])
-        values.append([np.asarray(v, dtype=complex)[keep] for v in parts])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+        keep = np.flatnonzero((a + da >= 0) & (a + da < d) & (b + db >= 0) & (b + db < d))
+        phase = np.full(len(keep), (1.0, 1.0j, -1.0, -1.0j)[(da - db) % 4])
+        entries.append((keep, a[keep] + da, b[keep] + db, np.stack(parts)[:, keep], phase))
+    return [np.concatenate(part, axis=-1) for part in zip(*entries)]
+
+
+# A benchmark run reads at most 3 spins' patterns and 8 blocks, so 16
+# slots rebuild nothing; at j = 128 a pattern holds ~20 MB, a block 9 MB
+@functools.lru_cache(maxsize=16)
+def _generator_pattern(two_j):
+    """CSC structure of the generator, its real unit-rate values and their phases.
+
+    Row a + d b of L vec(X) is drho[a, b], from _stencil on all d^2
+    rows.  Returns (indptr, indices, units, phase): units is the (3, nnz)
+    real array of drive, heating and decay values in the real gauge and
+    phase the entries' i^(da - db), so that phase * _generator_values
+    gives L's entries, equal to the Kronecker-sum form.  All are
+    read-only.
+    """
+    d = two_j + 1
+    b, a = np.divmod(np.arange(d * d), d)
+    rows, source_a, source_b, units, phase = _stencil(two_j, a, b)
+    cols = source_a + d * source_b
     order = np.lexsort((rows, cols))
     indptr = np.zeros(d * d + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=d * d), out=indptr[1:])
-    units = np.stack([np.concatenate(part)[order] for part in zip(*values)])
-    out = (indptr, rows[order].astype(np.int32), units)
+    out = (indptr, rows[order].astype(np.int32), units[:, order], phase[order])
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -258,22 +279,22 @@ def _generator_values(units, omega, gamma_a, nbar):
 def build_liouvillian(params: ModelParams) -> "scipy.sparse.csc_array":
     """Sparse (d^2, d^2) generator acting on column-stacked states.
 
-    At most seven nonzeros per row.  The structure and the unit-rate
-    values are cached per 2j; a call only combines them with the rates
-    (_generator_values).  The entries equal the dense Kronecker-sum
-    form exactly.
+    At most seven nonzeros per row.  The structure, the real unit-rate
+    values and their phases are cached per 2j; a call only combines them
+    with the rates (_generator_values) and the phases.  The entries equal
+    the dense Kronecker-sum form exactly.
     """
     import scipy.sparse as sp
 
     p = params
-    indptr, indices, units = _generator_pattern(p.j.two_j)
-    data = _generator_values(units, p.omega, p.gamma_a, p.nbar)
+    indptr, indices, units, phase = _generator_pattern(p.j.two_j)
+    data = phase * _generator_values(units, p.omega, p.gamma_a, p.nbar)
     n = len(indptr) - 1
     return sp.csc_array((data, indices, indptr), shape=(n, n))
 
 
 def _require_dense(params: ModelParams):
-    """evolve's size limit; steady_state_numeric has its own, STEADY_DIM_LIMIT."""
+    """evolve's size limit; the steady states have their own, STEADY_DIM_LIMIT."""
     d = params.j.dim
     if d > DENSE_DIM_LIMIT:
         raise CapacityError(
@@ -281,40 +302,25 @@ def _require_dense(params: ModelParams):
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _gauge_phase(two_j):
-    """The gauge rho[a, b] = i^(b - a) Y[a, b] and its phase on each generator entry.
-
-    In the gauge, entry (r, c) of L becomes conj(ph_r) L[r, c] ph_c,
-    exactly real for this model: the drive entries are imaginary and
-    change a - b by one, the dissipator entries are real and keep it.
-    Returns (ph, phase): the (d, d) phase i^(b - a), and conj(ph_r) ph_c
-    for each entry of _generator_pattern's CSC structure, in its order.
-    Both are read-only.
-    """
+def _gauge(two_j):
+    """The (d, d) phase ph[a, b] = i^(b - a) of the real gauge rho = ph * Y."""
     d = two_j + 1
-    ph = np.array([1.0, 1.0j, -1.0, -1.0j])[-np.subtract.outer(np.arange(d), np.arange(d)) % 4]
-    indptr, indices = _generator_pattern(two_j)[:2]
-    flat = ph.ravel(order="F")  # products of units are exact
-    phase = flat.conj()[indices] * flat[np.repeat(np.arange(d * d), np.diff(indptr))]
-    ph.flags.writeable = phase.flags.writeable = False
-    return ph, phase
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[-np.subtract.outer(np.arange(d), np.arange(d)) % 4]
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _gauged_block(two_j, offset):
-    """One real block of the generator in the gauge of _gauge_phase, as canonical CSC.
+    """One real block of the generator in the real gauge, as canonical CSC.
 
-    The gauged generator is real and maps real symmetric Y to real
+    The gauged generator (_stencil) maps real symmetric Y to real
     symmetric and real antisymmetric to real antisymmetric, so
     Y = S + i K splits into the upper triangle of S (offset 0,
     d(d+1)/2 coordinates) and the strict upper triangle of K (offset 1,
-    d(d-1)/2).  Row (a, b) reads X at (a, b), (a +- 1, b), (a, b +- 1)
-    and (a +- 1, b +- 1).  Diagonal rows read just below the diagonal,
-    which the symmetric block folds onto S[c, e] = S[e, c], summing the
-    folded entries; rows above the diagonal read nothing below it, so
-    the antisymmetric block needs no fold, and its diagonal columns drop
-    out, K being 0 there.
+    d(d-1)/2).  The stencil runs on the triangle's rows.  Diagonal rows
+    read just below the diagonal, which the symmetric block folds onto
+    S[c, e] = S[e, c], summing the folded entries; rows above the
+    diagonal read nothing below it, so the antisymmetric block needs no
+    fold, and its diagonal columns drop out, K being 0 there.
 
     Returns (triangle, indptr, indices, cols, units): the block's
     coordinates as (rows, columns) in Y, its CSC structure, the column
@@ -323,19 +329,15 @@ def _gauged_block(two_j, offset):
     read-only.
     """
     d = two_j + 1
-    indptr, indices, units = _generator_pattern(two_j)
-    phase = _gauge_phase(two_j)[1]
-    b_r, a_r = np.divmod(indices.astype(np.intp), d)
-    b_c, a_c = np.divmod(np.repeat(np.arange(d * d), np.diff(indptr)), d)
     triangle = np.triu_indices(d, offset)
     n = len(triangle[0])
     coord = np.full((d, d), -1)
     coord[triangle] = coord[triangle[::-1]] = np.arange(n)
-    cols = coord[a_c, b_c]
-    take = np.flatnonzero((b_r - a_r >= offset) & (cols >= 0))
-    keys, slot = np.unique(cols[take] * n + coord[a_r, b_r][take], return_inverse=True)
-    gauged = (units[:, take] * phase[take]).real
-    block = np.stack([np.bincount(slot, weights=u, minlength=len(keys)) for u in gauged])
+    rows, source_a, source_b, units, _ = _stencil(two_j, *triangle)
+    cols = coord[source_a, source_b]
+    take = np.flatnonzero(cols >= 0)
+    keys, slot = np.unique(cols[take] * n + rows[take], return_inverse=True)
+    block = np.stack([np.bincount(slot, weights=u, minlength=len(keys)) for u in units[:, take]])
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     out = (indptr, (keys % n).astype(np.int32), keys // n, block)
@@ -416,7 +418,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
             f"{EXPM_WORK_LIMIT:.0e}; use a uniform grid or fewer distinct steps"
         )
 
-    ph = _gauge_phase(p.j.two_j)[0]
+    ph = _gauge(p.j.two_j)
     y0 = rho0 * ph.conj()
     states = np.zeros((n_times, d, d), dtype=complex)
     for offset, part, y, sign in ((0, states.real, y0.real, 1.0), (1, states.imag, y0.imag, -1.0)):
@@ -466,56 +468,27 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
     no drive to break the ladder degeneracy structure and is rejected
     up front.
 
-    Solves in the gauge of _gauge_phase, where the generator G is real
-    and keeps the real symmetric S and the real antisymmetric K of
-    Y = S + i K apart (see _gauged_block).  The symmetric block is enough:
-    the antisymmetric block holds only traceless Hermitian directions
-    (rho = ph * i K has a zero diagonal), and a unique steady state has
-    trace one, so G's one-dimensional kernel lies in the symmetric block
-    and the antisymmetric block is nonsingular; it is never built here.
-    Above j = 5 the symmetric block of _gauged_block, d(d+1)/2 unknowns
-    instead of d^2, is factored once as CSC, bordered by the trace
-    functional, the indicator of the diagonal coordinates
-    (linalg.null_vector: a dense inverse up to j = 7, SuperLU above);
-    up to j = 5 the full d^2 x d^2 G is, bordered by vec(I).  Either
-    border is the exact left kernel of the trace-preserving block it
-    borders, and its overlap with the kernel is the steady state's
-    trace, so the bordered matrix is well conditioned whenever the
-    steady state is unique.  rho = ph * S / tr(S) is Hermitian by
-    construction.  Raises CapacityError above STEADY_DIM_LIMIT.
-    steady_states_numeric solves a grid of small spins at once.
+    Above j = 5 this is steady_states_numeric on a grid of one point.
+    Up to j = 5 the full d^2 x d^2 generator is solved in the real gauge:
+    build_liouvillian's structure carries the real gauged values, and
+    one null_vector call solves it bordered by vec(I), its exact left
+    kernel; rho = ph * (Y + Y^T) / (2 tr Y).  The benchmark's self-test
+    pins this route's one build_liouvillian call and its d^2-unknown
+    null_vector at j = 2; the symmetric block can take these spins too
+    once that pin is restated.  Raises CapacityError above
+    STEADY_DIM_LIMIT.
     """
     p = params
-    _require_unique_steady(p.omega, p.gamma_a, p.nbar)
     d = p.j.dim
-    if d > STEADY_DIM_LIMIT:
-        raise CapacityError(
-            f"dimension {d} exceeds steady_state_numeric's limit {STEADY_DIM_LIMIT} "
-            "(j <= 128); zero-temperature steady states beyond it: "
-            "analytic.steady_state_analytic"
-        )
-    if d * d <= linalg._DENSE_LU_MAX:
-        # The full gauged generator, kept for j <= 5: the benchmark's
-        # self-test pins this route's one build_liouvillian call and its
-        # d^2-unknown null_vector at j = 2.  The symmetric block can take
-        # these spins too once that pin is restated.
-        ph, phase = _gauge_phase(p.j.two_j)
-        G = build_liouvillian(p)
-        G.data = (phase * G.data).real  # conj(ph_r) L[r, c] ph_c, on L's own structure
-        # bordered by vec(I), d ones on the diagonal coordinates
-        Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
-        rho = ph * ((Y + Y.T) / (2.0 * np.trace(Y)))
-        return validate_density_matrix(rho, settings, "steady state")
-    import scipy.sparse as sp
-
-    triangle, indptr, indices, _, units = _gauged_block(p.j.two_j, 0)
-    data = _generator_values(units, p.omega, p.gamma_a, p.nbar)
-    n = len(indptr) - 1
-    block = sp.csc_array((data, indices, indptr), shape=(n, n))
-    # bordered by the trace functional, 1 on the diagonal coordinates
-    x = null_vector(block, (triangle[0] == triangle[1]).astype(float), settings)
-    ph = _gauge_phase(p.j.two_j)[0]
-    return validate_density_matrix(_symmetric_rho(x, triangle, ph), settings, "steady state")
+    if d * d > linalg._DENSE_LU_MAX:
+        return steady_states_numeric(p.j, [p.omega], [p.gamma_a], [p.nbar], settings)[0]
+    _require_unique_steady(p.omega, p.gamma_a, p.nbar)
+    G = build_liouvillian(p)
+    G.data = _generator_values(_generator_pattern(p.j.two_j)[2], p.omega, p.gamma_a, p.nbar)
+    # bordered by vec(I), d ones on the diagonal coordinates
+    Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
+    rho = _gauge(p.j.two_j) * ((Y + Y.T) / (2.0 * np.trace(Y)))
+    return validate_density_matrix(rho, settings, "steady state")
 
 
 def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings = DEFAULT) -> np.ndarray:
@@ -523,14 +496,24 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
 
     omega, gamma_a and nbar broadcast to one 1-D grid of k points, each
     finite and >= 0 with a unique steady state (see
-    steady_state_numeric).  The route is steady_state_numeric's above
-    j = 5, for all points at once: the k real symmetric blocks of the
-    gauged generator are assembled dense from the cached _gauged_block,
-    one null_vector call solves the stack bordered by the trace, and one
-    validate_density_matrix call checks it, naming a failing state by
-    its parameters.  Only spins whose d(d+1)/2 unknowns are within
-    linalg's dense limit (j <= 7) are covered; larger ones raise
-    CapacityError.
+    steady_state_numeric), for any spin up to STEADY_DIM_LIMIT (j <= 128;
+    above it CapacityError).  Solves in the real gauge, where the
+    generator keeps the real symmetric S and the real antisymmetric K of
+    Y = S + i K apart (see _gauged_block).  The symmetric block is
+    enough: the antisymmetric block holds only traceless Hermitian
+    directions (rho = ph * i K has a zero diagonal), and a unique steady
+    state has trace one, so the one-dimensional kernel lies in the
+    symmetric block, of d(d+1)/2 unknowns, and the antisymmetric block
+    is never built.  null_vector solves it bordered by the trace
+    functional, the indicator of the diagonal coordinates: the block's
+    exact left kernel, whose overlap with the kernel is the steady
+    state's trace, so the bordered matrix is well conditioned whenever
+    the steady state is unique.  Up to linalg._DENSE_LU_MAX unknowns
+    (j <= 7) the k blocks are assembled dense and solved as one stack;
+    larger blocks are solved one point at a time as CSC by SuperLU.
+    rho = ph * S / tr(S) is Hermitian by construction, and one
+    validate_density_matrix call checks the stack, naming a failing
+    state by its parameters.
     """
     s = SpinQuantum.from_j(spin)
     rates = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (omega, gamma_a, nbar)))
@@ -541,18 +524,27 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
             raise ValidationError(f"{name} must be finite and >= 0 everywhere")
     omega, gamma_a, nbar = rates
     _require_unique_steady(omega, gamma_a, nbar)
-    n = s.dim * (s.dim + 1) // 2
-    if n > linalg._DENSE_LU_MAX:
+    if s.dim > STEADY_DIM_LIMIT:
         raise CapacityError(
-            f"steady_states_numeric covers d(d+1)/2 <= {linalg._DENSE_LU_MAX} unknowns, "
-            f"got {n} at j = {s.j}; use steady_state_numeric"
+            f"dimension {s.dim} exceeds the steady-state limit {STEADY_DIM_LIMIT} "
+            "(j <= 128); zero-temperature steady states beyond it: "
+            "analytic.steady_state_analytic"
         )
-    triangle, _, indices, cols, units = _gauged_block(s.two_j, 0)
-    G = np.zeros((len(omega), n, n))
-    G[:, indices, cols] = _generator_values(units, omega[:, None], gamma_a[:, None], nbar[:, None])
-    x = null_vector(G, (triangle[0] == triangle[1]).astype(float), settings)
-    rho = _symmetric_rho(x, triangle, _gauge_phase(s.two_j)[0])
+    triangle, indptr, indices, cols, units = _gauged_block(s.two_j, 0)
+    n = len(indptr) - 1
+    trace = (triangle[0] == triangle[1]).astype(float)
+    if n <= linalg._DENSE_LU_MAX:
+        G = np.zeros((len(omega), n, n))
+        G[:, indices, cols] = _generator_values(units, omega[:, None], gamma_a[:, None], nbar[:, None])
+        x = null_vector(G, trace, settings)
+    else:
+        import scipy.sparse as sp
+
+        x = np.empty((len(omega), n))
+        for k in range(len(omega)):
+            data = _generator_values(units, omega[k], gamma_a[k], nbar[k])
+            x[k] = null_vector(sp.csc_array((data, indices, indptr), shape=(n, n)), trace, settings)
     return validate_density_matrix(
-        rho, settings,
+        _symmetric_rho(x, triangle, _gauge(s.two_j)), settings,
         lambda k: f"steady state at omega={omega[k]:g}, gamma_a={gamma_a[k]:g}, nbar={nbar[k]:g}",
     )

@@ -210,6 +210,18 @@ def test_spin_value_bound_exits_2_before_allocating(args, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(params, settings):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "steady_state_numeric", exhausted)
+    out = tmp_path / "out.txt"
+    assert run_cli(["steady", "--j", "128", "--gamma", "1", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_spin_value_bound_admits_the_limit(tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(["fig3", "--j-list", "128", "--omega-r-grid", "0.9:0.9:1",

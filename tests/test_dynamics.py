@@ -29,6 +29,8 @@ from dickesim.settings import DEFAULT
 from util import (
     build_jplus,
     corrupt_state,
+    gauge_entry_phase,
+    gauge_phase,
     liouvillian_kron,
     master_equation_rhs,
     random_density,
@@ -169,11 +171,12 @@ def test_liouvillian_equals_kronecker_sum(two_j):
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 8, 32])
 def test_generator_values_are_the_liouvillian_entries(two_j):
-    # the one rate formula, on the unit values in the CSC order of build_liouvillian
+    # the one rate formula, on the real unit values in the CSC order of
+    # build_liouvillian, times each entry's phase
     p = ModelParams(j=two_j / 2.0, omega=1.3, gamma_a=0.7, nbar=0.4)
-    units = dynamics._generator_pattern(two_j)[2]
+    units, phase = dynamics._generator_pattern(two_j)[2:]
     values = dynamics._generator_values(units, p.omega, p.gamma_a, p.nbar)
-    assert np.array_equal(values, build_liouvillian(p).data)
+    assert np.array_equal(phase * values, build_liouvillian(p).data)
 
 
 # ---------------------------------------------------------------- validate_density_matrix
@@ -566,7 +569,7 @@ def test_symmetric_block_is_the_folded_generator(two_j):
     # block's left kernel
     p = ModelParams(j=two_j / 2.0, omega=0.9, gamma_a=1.7, nbar=0.4)
     d = p.j.dim
-    ph = dynamics._gauge_phase(two_j)[0]
+    ph = dynamics._gauge(two_j)
     gauged = vec(ph).conj()[:, None] * build_liouvillian(p).toarray() * vec(ph)[None, :]
     for offset, sign in ((0, 1.0), (1, -1.0)):
         triangle, indptr, indices, cols, units = dynamics._gauged_block(two_j, offset)
@@ -623,17 +626,34 @@ def test_steady_block_solves_past_an_antisymmetric_near_singularity():
 
 
 def test_gauge_phase_makes_generator_entries_real():
-    # the phase cached per entry is the gauge the steady route and evolve share
+    # the stencil's per-term phase i^(da - db) undoes conj(ph_r) ph_c, the
+    # gauge the steady routes and evolve share, on every entry, and there
+    # the entries are the stencil's real values
     p = ModelParams(j=4, omega=0.9, gamma_a=1.7, nbar=0.4)
     d = p.j.dim
     L = build_liouvillian(p)
-    ph, phase = dynamics._gauge_phase(p.j.two_j)
+    ph = dynamics._gauge(p.j.two_j)
+    assert np.array_equal(ph, gauge_phase(d))
+    phase = gauge_entry_phase(L)
+    units, term_phase = dynamics._generator_pattern(p.j.two_j)[2:]
+    assert np.array_equal(term_phase, phase.conj())
     gauged = vec(ph).conj()[:, None] * L.toarray() * vec(ph)[None, :]
     entries = sp.csc_array((phase * L.data, L.indices, L.indptr), shape=L.shape)
     assert np.array_equal(entries.toarray(), gauged)
     assert np.abs(gauged.imag).max() == 0.0
+    assert np.array_equal(
+        (phase * L.data).real, dynamics._generator_values(units, p.omega, p.gamma_a, p.nbar)
+    )
     # the trace functional vec(I) is the generator's exact left kernel there
     assert np.abs(vec(np.eye(d)).real @ gauged.real).max() < 1e-14
+
+
+def test_steady_solve_above_the_pin_builds_no_generator_pattern():
+    # above j = 5 a steady solve reads only the cached symmetric block
+    dynamics._generator_pattern.cache_clear()
+    dynamics._gauged_block.cache_clear()
+    steady_state_numeric(ModelParams(j=16, omega=1.0, gamma_a=0.5, nbar=0.3))
+    assert dynamics._generator_pattern.cache_info().currsize == 0
 
 
 def test_steady_thermal_long_time_oracle():
@@ -651,7 +671,7 @@ def test_steady_is_fixed_point_of_evolve():
     assert trace_distance(traj.states[-1], rho) < 1e-7
 
 
-@pytest.mark.parametrize("j", [0.5, 1, 2, 5, 5.5, 7])
+@pytest.mark.parametrize("j", [0.5, 1, 2, 5, 5.5, 7, 7.5, 8, 16])
 def test_steady_states_numeric_matches_pointwise(j):
     rng = np.random.default_rng(int(2 * j))
     gamma_a = rng.uniform(0.01, 10.0, size=12)
@@ -662,12 +682,15 @@ def test_steady_states_numeric_matches_pointwise(j):
     assert stack.shape == (12, d, d)
     for rho, g, n in zip(stack, gamma_a, nbar):
         single = steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=g, nbar=n))
-        assert np.abs(rho - single).max() <= 1e-14
+        if j > 5:  # the same route: a grid of one point
+            assert np.array_equal(rho, single)
+        else:
+            assert np.abs(rho - single).max() <= 1e-14
 
 
 def test_steady_states_numeric_input_checks():
-    with pytest.raises(CapacityError, match="steady_state_numeric"):
-        steady_states_numeric(7.5, 1.0, [0.5], 0.0)
+    with pytest.raises(CapacityError, match="analytic"):
+        steady_states_numeric(128.5, 1.0, [0.5], 0.0)
     with pytest.raises(ValidationError, match="nbar"):
         steady_states_numeric(1, 1.0, [0.5, 0.6], [0.0, -0.1])
     with pytest.raises(ValidationError, match="gamma_a"):

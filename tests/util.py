@@ -17,7 +17,6 @@ from dickesim import (
     meanfield_rhs,
     validate_density_matrix,
 )
-from dickesim import dynamics
 from dickesim.linalg import null_vector
 
 
@@ -171,18 +170,39 @@ def steady_state_svd(params):
     return validate_density_matrix(0.5 * (rho + rho.conj().T), name="steady state (SVD)")
 
 
+def gauge_phase(d):
+    """The (d, d) phase ph[a, b] = i^(b - a) of the real gauge rho = ph * Y."""
+    k = np.arange(d)
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[(k[None, :] - k[:, None]) % 4]
+
+
+def gauge_entry_phase(L):
+    """conj(ph_r) ph_c on each stored entry (r, c) of a CSC generator of d x d states.
+
+    Built from ph alone, independent of the per-term phase i^(da - db)
+    of dynamics._stencil: phase * L.data are the entries of the generator
+    in the real gauge.
+    """
+    d = math.isqrt(L.shape[0])
+    flat = vec(gauge_phase(d))
+    return flat.conj()[L.indices] * flat[np.repeat(np.arange(d * d), np.diff(L.indptr))]
+
+
 def steady_state_full_generator(params, settings=DEFAULT):
     """Steady state from the whole real gauged generator, all d^2 unknowns.
 
     The gauged generator conj(ph_r) L[r, c] ph_c on build_liouvillian's
-    structure, bordered by vec(I), its exact left kernel, and solved by
-    one null_vector call; the oracle for the symmetric-block route that
+    structure (gauge_entry_phase; its entries must come out exactly real),
+    bordered by vec(I), its exact left kernel, and solved by one
+    null_vector call; the oracle for the symmetric-block route that
     steady_state_numeric takes above j = 5.
     """
     d = params.j.dim
-    ph, phase = dynamics._gauge_phase(params.j.two_j)
+    ph = gauge_phase(d)
     G = build_liouvillian(params)
-    G.data = (phase * G.data).real
+    gauged = gauge_entry_phase(G) * G.data
+    assert not gauged.imag.any(), "gauged generator entries are not real"
+    G.data = gauged.real
     Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
     rho = ph * (Y + Y.T) / (2.0 * np.trace(Y))
     return validate_density_matrix(rho, settings, "steady state (full generator)")
