@@ -26,7 +26,7 @@ from .dynamics import (
     steady_states_numeric,
     validate_density_matrix,
 )
-from .analytic import closed_form_j1, normalization_D, steady_state_analytic
+from .analytic import normalization_D, steady_state_analytic
 from .entanglement import (
     concurrence,
     pair_reduced_state,
@@ -66,7 +66,6 @@ __all__ = [
     "validate_density_matrix",
     "steady_state_analytic",
     "normalization_D",
-    "closed_form_j1",
     "concurrence",
     "triplet_to_two_qubit",
     "pair_reduced_state",

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .analytic import closed_form_j1, steady_state_analytic
+from .analytic import steady_state_analytic
 from .dynamics import ModelParams, evolve, steady_state_numeric, steady_states_numeric
 from .entanglement import concurrence, pair_reduced_state, triplet_to_two_qubit
 from .errors import DickeSimError
@@ -393,7 +393,8 @@ def _fig1_block(task):
 
 def _fig2_block(task):
     gammas, settings = task
-    values = concurrence(triplet_to_two_qubit(closed_form_j1(gammas), settings), settings)
+    rho = steady_state_analytic(SpinQuantum(2), gammas)
+    values = concurrence(triplet_to_two_qubit(rho, settings), settings)
     return list(zip(gammas.tolist(), (1.0 / gammas).tolist(), values.tolist()))
 
 
@@ -513,7 +514,7 @@ def _cmd_fig1(options):
 
 
 def _cmd_fig2(options):
-    """Zero-temperature two-ion concurrence vs gamma (closed form)."""
+    """Zero-temperature two-ion concurrence vs gamma (the analytic state at j = 1)."""
     gammas = options["gamma_grid"]
     rows = _map_blocks(_fig2_block, (gammas,), options["settings"], options["jobs"])
     _write_rows(options, "fig2", rows)

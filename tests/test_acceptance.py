@@ -14,7 +14,6 @@ import numpy as np
 from dickesim import (
     ModelParams,
     bifurcation_scan,
-    closed_form_j1,
     concurrence,
     dicke_projector,
     evolve,
@@ -26,7 +25,7 @@ from dickesim import (
     steady_state_numeric,
     triplet_to_two_qubit,
 )
-from util import pair_reduced_brute_force, random_density, trace_distance
+from util import closed_form_j1, pair_reduced_brute_force, random_density, trace_distance
 
 
 def _report(num, label, ok, detail=""):

@@ -8,13 +8,12 @@ from dickesim import (
     NumericRangeError,
     ValidationError,
     build_liouvillian,
-    closed_form_j1,
     normalization_D,
     steady_state_analytic,
     steady_state_numeric,
     validate_density_matrix,
 )
-from util import trace_distance, vec
+from util import closed_form_j1, trace_distance, vec
 
 
 def exact_trace_oracle(two_j, gamma):
@@ -77,6 +76,7 @@ def test_normalization_spin2_half():
 def test_zero_gamma_limit_is_maximally_mixed(j):
     d = int(round(2 * j)) + 1
     assert np.abs(steady_state_analytic(j, 0.0) - np.eye(d) / d).max() < 1e-15
+    assert np.abs(steady_state_analytic(j, [0.0, 0.0]) - np.eye(d) / d).max() < 1e-15
     assert normalization_D(j, 0.0) == float(d)
 
 
@@ -120,8 +120,23 @@ def test_closed_form_on_a_gamma_array():
     assert stack.shape == (1, 13, 3, 3)
     for g, rho in zip(gammas.ravel(), stack[0]):
         assert np.array_equal(rho, closed_form_j1(g))
+    assert np.abs(steady_state_analytic(1, gammas) - stack).max() < 1e-12
     with pytest.raises(ValidationError, match="-1.0"):
         closed_form_j1([0.5, -1.0])
+    for bad in ("-1.0", "nan"):
+        with pytest.raises(ValidationError, match=f"got {bad}$"):
+            steady_state_analytic(1, [[0.5, 2.0], [float(bad), 3.0]])
+
+
+@pytest.mark.parametrize("j", [1, 4.5, 16])
+def test_stack_equals_per_gamma_calls(j):
+    gammas = np.concatenate(([0.0], np.logspace(-3.0, 3.0, 25), [1e300]))
+    expected = np.stack([steady_state_analytic(j, g) for g in gammas])
+    assert np.array_equal(steady_state_analytic(j, gammas), expected)
+    d = int(2 * j) + 1
+    grid = steady_state_analytic(j, gammas[:6].reshape(2, 3))
+    assert grid.shape == (2, 3, d, d)
+    assert np.array_equal(grid, expected[:6].reshape(2, 3, d, d))
 
 
 @pytest.mark.parametrize("j,gamma", [(1, 0.3), (2.5, 1.1), (16, 2.0), (64, 0.5)])
@@ -153,6 +168,13 @@ def test_large_j_large_gamma_state_still_finite():
     rho = steady_state_analytic(64, 10.0)
     validate_density_matrix(rho)
     assert rho[-1, -1].real == pytest.approx(1.0, abs=1e-3)
+
+
+def test_huge_gamma_stack_is_valid_state():
+    # gamma^4 overflows past gamma ~ 1e77 in the hand-expanded j = 1 matrix
+    rho = steady_state_analytic(1, [1e80, 1e200, 1e300])
+    validate_density_matrix(rho)
+    assert np.abs(rho[:, -1, -1] - 1.0).max() < 1e-15
 
 
 def test_normalization_overflow_reported():

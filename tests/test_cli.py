@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim import cli, closed_form_j1, steady_state_analytic
+from dickesim import cli, steady_state_analytic
 from dickesim.cli import UsageError, main, parse_grid
+from util import closed_form_j1
 
 
 def run_cli(args):
@@ -411,6 +412,19 @@ def test_fig2_values_match_library(tmp_path):
         assert value == pytest.approx(expected, abs=1e-12)
 
 
+def test_fig2_equals_steady_analytic_on_the_paper_grid(tmp_path, capsys):
+    # one construction of the zero-temperature state serves both subcommands
+    out = tmp_path / "fig2.csv"
+    assert run_cli(["fig2", "--gamma-grid", "log:0.001:1000:121", "--output", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 121
+    for gamma, _, value in rows:
+        assert run_cli(["steady", "--j", "1", "--gamma", repr(gamma), "--method", "analytic"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        line = [l for l in lines if l.startswith("concurrence = ")][0]
+        assert float(line.split("=")[1]) == value
+
+
 def test_fig1_zero_temperature_rows_match_closed_form(tmp_path):
     out = tmp_path / "fig1.csv"
     rc = run_cli(
@@ -642,6 +656,20 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     header, rows = read_csv(out)
     assert header == ["gamma", "abs_g", "concurrence"]
     assert len(rows) == 3
+
+
+def test_fig2_beyond_quartic_overflow(tmp_path):
+    # gamma^4 overflows double precision past gamma ~ 1e77
+    out = tmp_path / "fig2.csv"
+    done = run_python(
+        ["-m", "dickesim", "fig2", "--gamma-grid", "log:1e70:1e80:3", "--output", str(out)]
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    _, rows = read_csv(out)
+    values = np.array([row[2] for row in rows])
+    assert len(values) == 3
+    assert np.all(np.isfinite(values) & (values >= 0.0) & (values <= 1.0))
 
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):

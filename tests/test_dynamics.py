@@ -16,7 +16,6 @@ from dickesim import (
     build_jminus,
     build_jz,
     build_liouvillian,
-    closed_form_j1,
     dicke_projector,
     evolve,
     steady_state_analytic,
@@ -28,6 +27,7 @@ from dickesim import dynamics, linalg
 from dickesim.settings import DEFAULT
 from util import (
     build_jplus,
+    closed_form_j1,
     corrupt_state,
     gauge_entry_phase,
     gauge_phase,

@@ -47,6 +47,33 @@ def corrupt_state(kind, rho):
     return bad
 
 
+def closed_form_j1(gamma):
+    """The explicit 3x3 stationary matrix of the spin-1 (two-ion) case.
+
+    Hand-expanded form of steady_state_analytic at j = 1, kept as an
+    independent code path for cross-checks.  An array of gamma gives a
+    stack of shape gamma.shape + (3, 3).
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    valid = np.isfinite(gamma) & (gamma >= 0)
+    if not valid.all():
+        bad = float(gamma[~valid].flat[0])
+        raise ValidationError(f"gamma must be finite and >= 0, got {bad!r}")
+    g2 = gamma * gamma
+    r2 = np.sqrt(2.0)
+    off = r2 * gamma + 2.0 * r2 * gamma * g2
+    rho = np.array(
+        [
+            [np.ones_like(gamma), -1j * r2 * gamma, -2.0 * g2],
+            [1j * r2 * gamma, 1.0 + 2.0 * g2, -1j * off],
+            [-2.0 * g2, 1j * off, 1.0 + 2.0 * g2 + 4.0 * g2 * g2],
+        ],
+        dtype=complex,
+    )
+    rho = rho / (3.0 + 4.0 * g2 + 4.0 * g2 * g2)
+    return np.moveaxis(rho, (0, 1), (-2, -1))  # gamma's axes first
+
+
 def vec(rho):
     """Column-stacking vectorization."""
     return np.asarray(rho, dtype=complex).flatten(order="F")
