@@ -4,10 +4,10 @@ Six subcommands (steady, evolve, fig1, fig2, fig3, semiclassical) share
 the global flags --output, --format, --jobs, --config, --tolerance and
 --gnuplot.  One argparse parser reads them (flags > --config file >
 defaults); each option's converter is the one check on its value, from
-a flag or a config file alike.  Scan output is CSV (or a JSON mirror of
-the same rows) with frozen headers and shortest-round-trip float
-formatting, so identical invocations produce byte-identical files,
-independent of --jobs.
+a flag or a config file alike.  fig1, fig2 and fig3 solve stacked row
+blocks spread over --jobs.  Scan output is CSV (or a JSON mirror) with
+frozen headers and shortest-round-trip float formatting, so identical
+invocations produce byte-identical files, independent of --jobs.
 
 Exit codes: 0 success, 1 computational or I/O failure, 2 usage error.
 """
@@ -36,11 +36,11 @@ class UsageError(argparse.ArgumentTypeError):
 
 
 # Work bounds, checked before anything is allocated.  Measured on one BLAS
-# thread, a scan row takes 0.16 ms (fig2) to 5.9 ms (fig3 at j = 64), so a
-# scan stays under ~2 min at j <= 64; an evolve row takes 0.17 ms at j = 1.
-# A fig3 row (analytic steady state, pair state, concurrence) at j = 128
-# takes 25 ms and peaks at 4.4 MB; at j = 256 0.13 s and 17 MB, at
-# j = 1024 6.4 s and 269 MB.
+# thread, a scan row takes at most ~6 ms (fig3 at j = 64, a block of one
+# row), so a scan stays under ~2 min at j <= 64; an evolve row takes 0.17 ms
+# at j = 1.  A fig3 row at j = 128 takes 25 ms (~75 ms at omega_r = 0.05,
+# where most far entries of the state underflow) and peaks at 4.4 MB; at
+# j = 256 0.13 s and 17 MB, at j = 1024 6.4 s and 269 MB.
 SCAN_ROW_LIMIT = 20_000      # rows of one scan, and points of each grid
 EVOLVE_STEPS_LIMIT = 100_000  # evolve --steps
 J_LIST_LIMIT = 64            # entries of fig3 --j-list
@@ -48,10 +48,12 @@ J_VALUE_LIMIT = 128          # the spin value of --j and of each fig3 --j-list e
 # --jobs: under the fork start method ProcessPoolExecutor starts all of
 # its workers at once, so an unbounded --jobs would fork that many processes
 JOBS_LIMIT = 64
-# fig1 and fig2 solve, check and score contiguous blocks of at most this
-# many rows as one stack each, and spread the blocks over --jobs; fig1
-# peaks at ~3.9 kB per row of a block (tracemalloc: 4 MB for a block of
-# 1024 rows, 78 MB for all 20 000 rows in one block)
+# Scans solve, check and score contiguous blocks of rows, one stack each,
+# spread over --jobs.  A block of d x d states holds at most
+# max(1, 9 BLOCK_ROWS // d^2) rows: 1024 for fig1 and fig2, 8 for fig3 at
+# j = 16, 1 from j = 33.5 up.  fig1 peaks at 4 MB for a block of 1024 rows
+# (tracemalloc; 78 MB for all 20 000 rows in one), and one block per spin
+# would take the paper's fig3 from 34 to 154 MB max RSS
 BLOCK_ROWS = 1024
 
 
@@ -354,7 +356,22 @@ def _write_rows(options, sub, rows):
             fh.write(script)
 
 
-def _map_rows(worker, tasks, jobs):
+def _map_blocks(worker, groups, settings, jobs):
+    """Rows from worker((*column blocks, settings)) over contiguous row blocks.
+
+    groups holds one (d, columns) pair per run of rows of d x d states;
+    each is cut into blocks (see BLOCK_ROWS), at least jobs of them when
+    the rows allow, and all blocks share one pool.  Every row is computed
+    on its own, so the rows do not depend on the blocking, nor on jobs.
+    """
+    tasks = []
+    for d, columns in groups:
+        count = len(columns[0])
+        size = max(1, min(9 * BLOCK_ROWS // (d * d), -(-count // jobs)))
+        tasks += [
+            tuple(c[start:start + size] for c in columns) + (settings,)
+            for start in range(0, count, size)
+        ]
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -362,24 +379,9 @@ def _map_rows(worker, tasks, jobs):
         # at most one worker per task, as the executor forks all of them at
         # once; executor.map preserves input order, keeping output deterministic
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    return [worker(task) for task in tasks]
-
-
-def _map_blocks(worker, columns, settings, jobs):
-    """Rows from worker((*column blocks, settings)) over contiguous row blocks.
-
-    Blocks hold at most BLOCK_ROWS rows, and there are at least jobs of
-    them when the rows allow.  Every row is computed on its own, so the
-    rows do not depend on the blocking, nor on jobs.
-    """
-    count = len(columns[0])
-    size = max(1, min(BLOCK_ROWS, -(-count // jobs)))
-    tasks = [
-        tuple(c[start:start + size] for c in columns) + (settings,)
-        for start in range(0, count, size)
-    ]
-    return [row for block in _map_rows(worker, tasks, jobs) for row in block]
+            blocks = pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            return [row for block in blocks for row in block]
+    return [row for task in tasks for row in worker(task)]
 
 
 # ---------------------------------------------------------------- workers
@@ -398,13 +400,12 @@ def _fig2_block(task):
     return list(zip(gammas.tolist(), (1.0 / gammas).tolist(), values.tolist()))
 
 
-def _fig3_row(task):
-    two_j, omega_r, settings = task
-    spin = SpinQuantum(two_j)
-    gamma = 1.0 / (spin.j * omega_r)
-    rho = steady_state_analytic(spin, gamma)
-    value = concurrence(pair_reduced_state(rho, spin, settings), settings)
-    return (spin.j, omega_r, value)
+def _fig3_block(task):
+    js, omega_rs, settings = task
+    spin = SpinQuantum.from_j(js[0])
+    rho = steady_state_analytic(spin, 1.0 / (spin.j * omega_rs))
+    values = concurrence(pair_reduced_state(rho, spin, settings), settings)
+    return list(zip(js.tolist(), omega_rs.tolist(), values.tolist()))
 
 
 # ------------------------------------------------------------- subcommands
@@ -508,7 +509,7 @@ def _cmd_fig1(options):
     gammas, nbars = options["gamma_grid"], options["nbar_grid"]
     _require_count(len(gammas) * len(nbars), SCAN_ROW_LIMIT, "fig1 row count")
     columns = (np.repeat(gammas, len(nbars)), np.tile(nbars, len(gammas)))
-    rows = _map_blocks(_fig1_block, columns, options["settings"], options["jobs"])
+    rows = _map_blocks(_fig1_block, [(3, columns)], options["settings"], options["jobs"])
     _write_rows(options, "fig1", rows)
     return 0
 
@@ -516,18 +517,17 @@ def _cmd_fig1(options):
 def _cmd_fig2(options):
     """Zero-temperature two-ion concurrence vs gamma (the analytic state at j = 1)."""
     gammas = options["gamma_grid"]
-    rows = _map_blocks(_fig2_block, (gammas,), options["settings"], options["jobs"])
+    rows = _map_blocks(_fig2_block, [(3, (gammas,))], options["settings"], options["jobs"])
     _write_rows(options, "fig2", rows)
     return 0
 
 
 def _cmd_fig3(options):
     """Pair concurrence vs scaled drive for several j."""
-    settings = options["settings"]
     spins, omega_rs = options["j_list"], options["omega_r_grid"]
     _require_count(len(spins) * len(omega_rs), SCAN_ROW_LIMIT, "fig3 row count")
-    tasks = [(s.two_j, float(w), settings) for s in spins for w in omega_rs]
-    rows = _map_rows(_fig3_row, tasks, options["jobs"])
+    groups = [(s.dim, (np.full(len(omega_rs), s.j), omega_rs)) for s in spins]
+    rows = _map_blocks(_fig3_block, groups, options["settings"], options["jobs"])
     _write_rows(options, "fig3", rows)
     return 0
 

@@ -293,15 +293,6 @@ def build_liouvillian(params: ModelParams) -> "scipy.sparse.csc_array":
     return sp.csc_array((data, indices, indptr), shape=(n, n))
 
 
-def _require_dense(params: ModelParams):
-    """evolve's size limit; the steady states have their own, STEADY_DIM_LIMIT."""
-    d = params.j.dim
-    if d > DENSE_DIM_LIMIT:
-        raise CapacityError(
-            f"dimension {d} exceeds evolve's limit {DENSE_DIM_LIMIT} (j <= 16)"
-        )
-
-
 def _gauge(two_j):
     """The (d, d) phase ph[a, b] = i^(b - a) of the real gauge rho = ph * Y."""
     d = two_j + 1
@@ -397,9 +388,10 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
     steps = np.diff(t_grid)
     if not np.all(steps > 0):
         raise ValidationError("t_grid must be strictly ascending")
-    _require_dense(p)
-    rho0 = validate_density_matrix(rho0, settings, "rho0")
     d = p.j.dim
+    if d > DENSE_DIM_LIMIT:
+        raise CapacityError(f"dimension {d} exceeds evolve's limit {DENSE_DIM_LIMIT} (j <= 16)")
+    rho0 = validate_density_matrix(rho0, settings, "rho0")
     if rho0.shape != (d, d):
         raise ValidationError(f"rho0 shape {rho0.shape} does not match j = {p.j.j} (dim {d})")
     n_times = len(t_grid)
@@ -512,8 +504,8 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
     (j <= 7) the k blocks are assembled dense and solved as one stack;
     larger blocks are solved one point at a time as CSC by SuperLU.
     rho = ph * S / tr(S) is Hermitian by construction, and one
-    validate_density_matrix call checks the stack, naming a failing
-    state by its parameters.
+    validate_density_matrix call checks the stack; a failing state or
+    kernel is named by its parameters on both routes.
     """
     s = SpinQuantum.from_j(spin)
     rates = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (omega, gamma_a, nbar)))
@@ -533,18 +525,20 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
     triangle, indptr, indices, cols, units = _gauged_block(s.two_j, 0)
     n = len(indptr) - 1
     trace = (triangle[0] == triangle[1]).astype(float)
+
+    def label(k):
+        return f"steady state at omega={omega[k]:g}, gamma_a={gamma_a[k]:g}, nbar={nbar[k]:g}"
+
     if n <= linalg._DENSE_LU_MAX:
         G = np.zeros((len(omega), n, n))
         G[:, indices, cols] = _generator_values(units, omega[:, None], gamma_a[:, None], nbar[:, None])
-        x = null_vector(G, trace, settings)
+        x = null_vector(G, trace, settings, label)
     else:
         import scipy.sparse as sp
 
         x = np.empty((len(omega), n))
         for k in range(len(omega)):
             data = _generator_values(units, omega[k], gamma_a[k], nbar[k])
-            x[k] = null_vector(sp.csc_array((data, indices, indptr), shape=(n, n)), trace, settings)
-    return validate_density_matrix(
-        _symmetric_rho(x, triangle, _gauge(s.two_j)), settings,
-        lambda k: f"steady state at omega={omega[k]:g}, gamma_a={gamma_a[k]:g}, nbar={nbar[k]:g}",
-    )
+            G = sp.csc_array((data, indices, indptr), shape=(n, n))
+            x[k] = null_vector(G, trace, settings, lambda _: label(k))
+    return validate_density_matrix(_symmetric_rho(x, triangle, _gauge(s.two_j)), settings, label)

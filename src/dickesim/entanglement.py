@@ -1,15 +1,15 @@
 """Two-qubit entanglement of collective spin states.
 
-Three pieces: the Wootters concurrence of an arbitrary two-qubit state,
-the isometric embedding of a spin-1 state into the two-qubit triplet
-sector, and the reduction of a permutation-symmetric N-qubit state
-(stored as a (2j+1)-dimensional collective state, N = 2j) to any pair of
-its constituents.  The reduction needs six collective moments, which
-it reads from the main diagonal and the first two subdiagonals of the
-state, so it costs O(d) beyond validating its input.  Its independent
-oracle, the brute-force 2^N embedding (N <= 8), lives in the tests.
-Every state they check goes through the one stacked state check of
-dynamics (check_states), a single state as a stack of one.
+Three pieces, each for one state or a (..., d, d) stack of them: the
+Wootters concurrence of a two-qubit state, the isometric embedding of a
+spin-1 state into the two-qubit triplet sector, and the reduction of a
+permutation-symmetric N-qubit state (stored as a (2j+1)-dimensional
+collective state, N = 2j) to any pair of its constituents.  The
+reduction reads six collective moments from the main diagonal and the
+first two subdiagonals, so it costs O(d) a state beyond validating its
+input.  Its independent oracle, the brute-force 2^N embedding (N <= 8),
+lives in the tests.  Every state they check goes through the one stacked
+state check of dynamics (check_states), a single state as a stack of one.
 
 Two-qubit basis order is (|ee>, |eg>, |ge>, |gg>) with |e> first in each
 factor.
@@ -87,30 +87,32 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
     contributions (sum_i s+_i s-_i = N/2 + Jz and s+ sz = -s+ on one
     site) and dividing by the N(N-1) ordered pairs.  The exchange-
     symmetric 4x4 is filled from those numbers directly.
+
+    One (d, d) state gives (4, 4), a (..., d, d) stack (..., 4, 4).  Input
+    and output are each checked as one stack (validate_density_matrix).
+    The moments are summed elementwise products, not matrix products,
+    so a state's result does not depend on the stack it sits in.
     """
     s = SpinQuantum.from_j(spin)
     if s.two_j < 2:
         raise ValidationError(f"pair reduction needs j >= 1, got j = {s.j}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2:
-        raise ValidationError(f"rho must be 2-dimensional, got shape {rho.shape}")
-    if rho.shape[0] != s.dim:
-        raise ValidationError(f"state dimension {rho.shape[0]} does not match j = {s.j}")
-    validate_density_matrix(rho, settings, "rho")
+    rho = validate_density_matrix(rho, settings, "rho")
+    if rho.shape[-1] != s.dim:
+        raise ValidationError(f"state dimension {rho.shape[-1]} does not match j = {s.j}")
 
     n = float(s.two_j)
     c = ladder_coefficients(s)
     m = m_values(s)
-    p = np.diagonal(rho).real
-    sub1 = np.diagonal(rho, -1)             # rho[k+1, k]
-    sub2 = np.diagonal(rho, -2)             # rho[k+2, k]
+    p = np.diagonal(rho, axis1=-2, axis2=-1).real
+    sub1 = np.diagonal(rho, -1, axis1=-2, axis2=-1)   # rho[k+1, k]
+    sub2 = np.diagonal(rho, -2, axis1=-2, axis2=-1)   # rho[k+2, k]
 
-    mz = p @ m
-    mzz = p @ (m * m)
-    mpm = p[:-1] @ (c * c)
-    mp = c @ sub1
-    mpp = (c[:-1] * c[1:]) @ sub2
-    mpz = (c * m[1:]) @ sub1
+    mz = (p * m).sum(axis=-1)
+    mzz = (p * (m * m)).sum(axis=-1)
+    mpm = (p[..., :-1] * (c * c)).sum(axis=-1)
+    mp = (sub1 * c).sum(axis=-1)
+    mpp = (sub2 * (c[:-1] * c[1:])).sum(axis=-1)
+    mpz = (sub1 * (c * m[1:])).sum(axis=-1)
 
     pairs = n * (n - 1.0)
     one_z = 2.0 * mz / n                      # <sz> on one site
@@ -123,10 +125,10 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
     a = np.conj(one_p + pz) / 2.0
     b = np.conj(one_p - pz) / 2.0
     mid = (1.0 - zz) / 4.0
-    out = np.array([
+    out = np.moveaxis(np.array([
         [(1.0 + 2.0 * one_z + zz) / 4.0, a, a, np.conj(pp)],
         [np.conj(a), mid, pm, b],
         [np.conj(a), pm, mid, b],
         [pp, np.conj(b), np.conj(b), (1.0 - 2.0 * one_z + zz) / 4.0],
-    ], dtype=complex)
+    ], dtype=complex), (0, 1), (-2, -1))
     return validate_density_matrix(out, settings, "pair-reduced state")

@@ -137,13 +137,13 @@ def _bordered_inverse(A, border, item):
         return inverse[:, :n, n], _norm1(M) * _norm1(inverse)
 
 
-def _bordered_solve(A, border):
+def _bordered_solve(A, border, item):
     """x and a kappa_1 estimate of [[A, b], [b^H, 0]] by one SuperLU factorisation.
 
     A is canonical CSC of b's dtype.  Only b's nonzeros are inserted
     into A's CSC arrays, as the last row and column.  The condition
     estimate reuses the factors (_inverse_norm1_estimate).  A zero
-    pivot raises DegenerateKernelError.
+    pivot raises DegenerateKernelError naming item(0).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -164,7 +164,7 @@ def _bordered_solve(A, border):
     try:
         lu = splu(bordered, **_SPLU_OPTIONS)
     except RuntimeError:  # a zero pivot
-        raise DegenerateKernelError(_SINGULAR) from None
+        raise DegenerateKernelError(f"{item(0)}{_SINGULAR}") from None
 
     def solve(b, adjoint):
         return lu.solve(b, trans="H" if adjoint else "N")
@@ -176,7 +176,7 @@ def _bordered_solve(A, border):
     return x, norm1 * _inverse_norm1_estimate(solve, n + 1, A.dtype)
 
 
-def null_vector(A, border, settings: NumericSettings = DEFAULT):
+def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
     """Unit-norm vector spanning a one-dimensional null space of A.
 
     A may be a dense array or a scipy.sparse matrix, real or complex;
@@ -196,7 +196,8 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT):
     the well-conditioned choice.  For a trace-preserving generator that
     is the trace functional vec(I), its exact left kernel, whose
     overlap with the kernel is the steady state's trace.  Two checks
-    raise DegenerateKernelError, naming the stack item that fails:
+    raise DegenerateKernelError, naming the item i that fails as
+    label(i) when given, else as "item i" in a stack:
 
     * uniqueness: 1 / kappa_1(M) must reach ``null_gap_rtol``; kappa_1
       is exact on the dense route and a Hager-Higham lower bound on
@@ -229,6 +230,8 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT):
     A = A.astype(dtype, copy=False)
 
     def item(i):
+        if label is not None:
+            return f"{label(i)}: "
         return f"item {i}: " if stack else ""
 
     zero = np.flatnonzero(fnorm == 0.0)
@@ -244,7 +247,7 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT):
         residual = np.linalg.norm((A @ x[:, :, None])[:, :, 0], axis=1)
         kind = "condition number"
     else:
-        x, kappa = _bordered_solve(A, borders[0])
+        x, kappa = _bordered_solve(A, borders[0], item)
         x, kappa = x[None], np.array([kappa])
         residual = np.linalg.norm(A @ x[0], keepdims=True)
         kind = "condition estimate"

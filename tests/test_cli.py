@@ -320,7 +320,8 @@ def test_evolve_rejects_motionless_model(tmp_path, capsys):
 @pytest.mark.parametrize("base, rows", [
     (["fig1", "--gamma-grid", "log:0.1:10:5", "--nbar-grid", "0:1:3"], 15),
     (["fig2", "--gamma-grid", "log:0.001:1000:1100"], 1100),  # more than one block
-    (["fig3", "--j-list", "1,4,16", "--omega-r-grid", "0.5:1.5:5"], 15),
+    # j <= 16 blocks differ between --jobs 1 and 2; j = 64 blocks are single rows
+    (["fig3", "--j-list", "1,4,16,64", "--omega-r-grid", "0.5:1.5:5"], 20),
 ], ids=["fig1", "fig2", "fig3"])
 def test_scan_deterministic_and_parallel_identical(tmp_path, base, rows):
     assert base[0] != "fig2" or rows > cli.BLOCK_ROWS
@@ -337,7 +338,8 @@ def test_scan_deterministic_and_parallel_identical(tmp_path, base, rows):
 @pytest.mark.parametrize("base", [
     ["fig1", "--gamma-grid", "log:0.1:10:7", "--nbar-grid", "0:1:3"],
     ["fig2", "--gamma-grid", "log:0.1:10:13"],
-], ids=["fig1", "fig2"])
+    ["fig3", "--j-list", "1,1.5,4", "--omega-r-grid", "0.5:1.5:7"],
+], ids=["fig1", "fig2", "fig3"])
 def test_row_blocks_do_not_change_the_rows(tmp_path, monkeypatch, base):
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
     assert run_cli(base + ["--output", str(whole)]) == 0
@@ -346,26 +348,14 @@ def test_row_blocks_do_not_change_the_rows(tmp_path, monkeypatch, base):
     assert whole.read_bytes() == blocked.read_bytes()
 
 
-def test_row_blocks_are_bounded_and_spread_over_jobs(monkeypatch):
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
-    monkeypatch.setattr(cli, "_map_rows", lambda worker, tasks, jobs: [worker(t) for t in tasks])
-
-    def sizes(count, jobs):  # each block comes back as one row
-        blocks = cli._map_blocks(lambda task: [task[0]], (np.arange(count),), None, jobs)
-        assert np.array_equal(np.concatenate(blocks), np.arange(count))
-        return [len(block) for block in blocks]
-
-    assert sizes(10, 1) == [4, 4, 2]
-    assert sizes(10, 5) == [2] * 5
-    assert sizes(3, 8) == [1] * 3
-
-
-def test_process_pool_has_at_most_one_worker_per_task(monkeypatch):
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Records each process pool's size and runs its tasks in process."""
     import concurrent.futures
 
     made = []
 
-    class Pool:  # records the pool size; no process is started
+    class Pool:
         def __init__(self, max_workers):
             made.append(max_workers)
 
@@ -379,10 +369,39 @@ def test_process_pool_has_at_most_one_worker_per_task(monkeypatch):
             return map(worker, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    blocks = cli._map_blocks(lambda task: [int(task[0][0])], (np.arange(2),), None, 64)
-    assert blocks == [0, 1] and made == [2]
-    assert cli._map_rows(abs, [-1, -2, -3], 2) == [1, 2, 3] and made == [2, 2]
-    assert cli._map_rows(abs, [-1], 64) == [1] and made == [2, 2]  # one task runs in process
+    return made
+
+
+def test_row_blocks_are_bounded_and_spread_over_jobs(fake_pool):
+    def sizes(count, jobs, d=3):  # each block comes back as one row
+        blocks = cli._map_blocks(lambda task: [task[0]], [(d, (np.arange(count),))], None, jobs)
+        assert np.array_equal(np.concatenate(blocks), np.arange(count))
+        return [len(block) for block in blocks]
+
+    # at most 9 BLOCK_ROWS state entries a block: 1024 rows of 3 x 3 states,
+    # 113 at j = 4, 8 at j = 16, 2 at j = 32 and 1 from j = 33.5 up
+    for two_j, rows in [(2, 1024), (8, 113), (32, 8), (64, 2), (67, 1), (128, 1)]:
+        assert sizes(2000, 1, two_j + 1)[0] == rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "BLOCK_ROWS", 4)
+        assert sizes(10, 1) == [4, 4, 2]
+        assert sizes(10, 5) == [2] * 5
+        assert sizes(3, 8) == [1] * 3
+        assert sizes(5, 1, 4) == [2, 2, 1]
+        assert sizes(3, 1, 7) == [1] * 3
+
+
+def test_process_pool_has_at_most_one_worker_per_task(fake_pool):
+    def first(task):
+        return [int(task[0][0])]
+
+    assert cli._map_blocks(first, [(3, (np.arange(2),))], None, 64) == [0, 1] and fake_pool == [2]
+    assert cli._map_blocks(first, [(3, (np.arange(3),))], None, 2) == [0, 2] and fake_pool == [2, 2]
+    # every group's blocks share one pool
+    groups = [(3, (np.arange(3),)), (129, (np.arange(10, 12),))]
+    assert cli._map_blocks(first, groups, None, 8) == [0, 1, 2, 10, 11] and fake_pool == [2, 2, 5]
+    assert cli._map_blocks(first, [(3, (np.arange(1),))], None, 64) == [0]
+    assert fake_pool == [2, 2, 5]  # one task runs in process
 
 
 def test_fig1_stacked_route_matches_single_solves_on_the_paper_grid(tmp_path):

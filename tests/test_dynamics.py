@@ -462,6 +462,8 @@ def test_evolve_chunked_check_names_the_first_bad_state(monkeypatch, corrupt, me
 def test_evolve_capacity_limit():
     with pytest.raises(CapacityError):
         evolve(dicke_projector(16.5, 16.5), ModelParams(j=16.5, omega=1.0, gamma_a=1.0), [0.0, 0.1])
+    with pytest.raises(CapacityError):  # the capacity check comes before rho0's
+        evolve(np.zeros((34, 34)), ModelParams(j=16.5, omega=1.0, gamma_a=1.0), [0.0, 0.1])
 
 
 # ---------------------------------------------------------------- steady_state_numeric
@@ -527,8 +529,8 @@ def test_steady_near_pure_state_one_bordered_solve(monkeypatch):
     kappas = []
     real = linalg._bordered_solve
 
-    def recording(A, border):
-        x, kappa = real(A, border)
+    def recording(A, border, item):
+        x, kappa = real(A, border, item)
         kappas.append(kappa)
         return x, kappa
 
@@ -712,14 +714,27 @@ def test_steady_states_numeric_names_the_failing_point(monkeypatch):
     # a kernel vector that is no state: the stack check names its parameters
     real = dynamics.null_vector
 
-    def corrupted(G, border, settings):
-        x = real(G, border, settings)
+    def corrupted(G, border, settings, label):
+        x = real(G, border, settings, label)
         x[1] = [1.0, 0.0, 0.0, -0.5, 0.0, 0.5]  # diag(1, -0.5, 0.5) on the block
         return x
 
     monkeypatch.setattr(dynamics, "null_vector", corrupted)
     with pytest.raises(ValidationError, match=r"omega=1, gamma_a=0\.25, nbar=0\.5 not positive"):
         steady_states_numeric(1, 1.0, [0.5, 0.25, 0.125], 0.5)
+
+
+@pytest.mark.parametrize("j", [7, 8])  # dense stack and SuperLU
+def test_steady_states_numeric_names_a_degenerate_point(j):
+    with pytest.raises(DegenerateKernelError,
+                       match=r"^steady state at omega=1, gamma_a=1e-07, nbar=0: null space"):
+        steady_states_numeric(j, 1.0, [0.5, 1e-7, 0.5], 0.0)
+
+
+def test_single_steady_solve_names_its_point_not_a_stack_item():
+    with pytest.raises(DegenerateKernelError, match="gamma_a=1e-07") as info:
+        steady_state_numeric(ModelParams(j=6, omega=1.0, gamma_a=1e-7))
+    assert not str(info.value).startswith("item 0")
 
 
 def test_fig1_stack_is_one_inverse_of_the_symmetric_blocks(monkeypatch):

@@ -279,6 +279,33 @@ def test_pair_reduction_large_j_smoke():
     assert np.linalg.eigvalsh(pair).min() > -1e-10
 
 
+@pytest.mark.parametrize("j", [1, 4.5, 16, 64])
+def test_pair_reduction_stack_equals_per_state_calls(j):
+    # the fig3 states of one spin and random mixed ones; a stack of any
+    # length must give each state's own result, so scan blocks cannot move it
+    rng = np.random.default_rng(int(2 * j))
+    dim = int(round(2 * j)) + 1
+    rho = np.concatenate([
+        steady_state_analytic(j, 1.0 / (j * np.linspace(0.05, 3.0, 23))),
+        [random_density(rng, dim) for _ in range(5)],
+    ])
+    stacked = pair_reduced_state(rho, j)
+    assert stacked.shape == (len(rho), 4, 4)
+    for k, state in enumerate(rho):
+        assert np.array_equal(stacked[k], pair_reduced_state(state, j))
+    assert np.array_equal(pair_reduced_state(rho[3:5], j), stacked[3:5])
+    assert pair_reduced_state(rho[:6].reshape(2, 3, dim, dim), j).shape == (2, 3, 4, 4)
+
+
+def test_pair_reduction_names_the_bad_state_of_a_stack():
+    rho = steady_state_analytic(2, np.full((2, 3), 0.7))
+    rho[1, 2] = corrupt_state("trace", rho[1, 2])
+    with pytest.raises(ValidationError, match=r"^rho\[1, 2\] trace deviates"):
+        pair_reduced_state(rho, 2)
+    with pytest.raises(ValidationError, match=r"state dimension 5 does not match j = 1"):
+        pair_reduced_state(rho[0], 1)
+
+
 def test_pair_reduction_validation():
     with pytest.raises(ValidationError):
         pair_reduced_state(np.eye(2) / 2.0, 0.5)  # a single qubit has no pair

@@ -179,6 +179,8 @@ def test_null_vector_border_orthogonal_to_kernel_raises(extra):
     a = sp.block_diag([np.array([[1.0, 1.0], [2.0, 2.0]]), sp.eye_array(extra)], format="csc")
     with pytest.raises(DegenerateKernelError, match="not one-dimensional"):
         null_vector(a, np.ones(2 + extra))
+    with pytest.raises(DegenerateKernelError, match="^the point: .*bordered matrix is singular"):
+        null_vector(a, np.ones(2 + extra), label=lambda i: "the point")
     left = np.zeros(2 + extra)
     left[:2] = [2.0, -1.0]
     expected = np.zeros(2 + extra)
@@ -271,6 +273,8 @@ def test_null_vector_stack_names_the_failing_item(corrupt, message):
     a[4] = np.diag([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(DegenerateKernelError, match=rf"^item 2: .*{message}"):
         null_vector(a, np.ones(4))
+    with pytest.raises(DegenerateKernelError, match=rf"^point 2: .*{message}"):
+        null_vector(a, np.ones(4), label=lambda i: f"point {i}")
 
 
 def test_null_vector_stack_input_checks():
