@@ -36,12 +36,19 @@ class UsageError(argparse.ArgumentTypeError):
 
 
 # Work bounds, checked before anything is allocated.  Measured on one BLAS
-# thread, a scan row takes at most ~6 ms (fig3 at j = 64, a block of one
-# row), so a scan stays under ~2 min at j <= 64; an evolve row takes 0.17 ms
-# at j = 1.  A fig3 row at j = 128 takes 25 ms (~75 ms at omega_r = 0.05,
-# where most far entries of the state underflow) and peaks at 4.4 MB; at
-# j = 256 0.13 s and 17 MB, at j = 1024 6.4 s and 269 MB.
+# thread (x86-64), 20 000 fig1 or fig2 rows take under 0.6 s and an evolve
+# row 0.17 ms at j = 1.  A fig3 row's cost grows steeply with j and is
+# highest at the smallest and the largest drives, where most far entries of
+# the state underflow: FIG3_ROW_SECONDS holds its maximum over omega_r from
+# 1e-4 to 1e6, so 20 000 rows would take ~4 min at j = 64 and ~28 min at
+# j = 128.  fig3 is therefore bounded by its estimated time as well,
+# FIG3_SECONDS_LIMIT on one core.  A fig3 row at j = 128 peaks at 4.4 MB; at
+# j = 256 it takes 0.13 s and 17 MB, at j = 1024 6.4 s and 269 MB.
 SCAN_ROW_LIMIT = 20_000      # rows of one scan, and points of each grid
+# worst-drive seconds of one fig3 row by dimension d = 2j + 1 (j = 1, 4, 16,
+# 64, 128), interpolated log-log in d between them
+FIG3_ROW_SECONDS = {3: 2e-5, 9: 3.5e-5, 33: 3e-4, 129: 1.3e-2, 257: 8.5e-2}
+FIG3_SECONDS_LIMIT = 120     # estimated seconds of one fig3 request
 EVOLVE_STEPS_LIMIT = 100_000  # evolve --steps
 J_LIST_LIMIT = 64            # entries of fig3 --j-list
 J_VALUE_LIMIT = 128          # the spin value of --j and of each fig3 --j-list entry
@@ -526,6 +533,12 @@ def _cmd_fig3(options):
     """Pair concurrence vs scaled drive for several j."""
     spins, omega_rs = options["j_list"], options["omega_r_grid"]
     _require_count(len(spins) * len(omega_rs), SCAN_ROW_LIMIT, "fig3 row count")
+    dims, seconds = zip(*FIG3_ROW_SECONDS.items())
+    row_seconds = np.exp(np.interp(np.log([s.dim for s in spins]), np.log(dims), np.log(seconds)))
+    _require_count(
+        math.ceil(len(omega_rs) * row_seconds.sum()), FIG3_SECONDS_LIMIT,
+        "fig3's estimated seconds on one core (rows x worst-drive row seconds at each j)",
+    )
     groups = [(s.dim, (np.full(len(omega_rs), s.j), omega_rs)) for s in spins]
     rows = _map_blocks(_fig3_block, groups, options["settings"], options["jobs"])
     _write_rows(options, "fig3", rows)

@@ -25,10 +25,11 @@ bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the states
 are checked in bounded chunks.  Steady states are the kernel of the
 symmetric block, solved for a whole parameter grid at once
 (steady_states_numeric: one dense stack up to j = 7, SuperLU a point at
-a time above); steady_state_numeric solves one point, on the full d^2
-gauged generator up to j = 5.  scipy is imported only by evolve
-(scipy.linalg, for expm), build_liouvillian and the steady states
-(scipy.sparse).
+a time above, where the block's trace-bordered CSC structure is built
+once per spin, _bordered_block, and each point fills only its data);
+steady_state_numeric solves one point, on the full d^2 gauged
+generator up to j = 5.  scipy is imported only by evolve (scipy.linalg,
+for expm), build_liouvillian and the steady states (scipy.sparse).
 """
 
 from __future__ import annotations
@@ -237,6 +238,7 @@ def _stencil(two_j, a, b):
 
 # A benchmark run reads at most 3 spins' patterns and 8 blocks, so 16
 # slots rebuild nothing; at j = 128 a pattern holds ~20 MB, a block 9 MB
+# and its bordered structure (_bordered_block) 2.9 MB
 @functools.lru_cache(maxsize=16)
 def _generator_pattern(two_j):
     """CSC structure of the generator, its real unit-rate values and their phases.
@@ -335,6 +337,19 @@ def _gauged_block(two_j, offset):
     for arr in (*triangle, *out):
         arr.flags.writeable = False
     return (triangle, *out)
+
+
+@functools.lru_cache(maxsize=16)
+def _bordered_block(two_j):
+    """The symmetric block's CSC structure bordered by the trace functional.
+
+    linalg._border_pattern of _gauged_block(two_j, 0) and the diagonal
+    coordinates: structure only, read-only, so that a steady solve above
+    the dense limit fills one data array per point.  Zero rates keep
+    their entries, as explicit zeros.
+    """
+    triangle, indptr, indices, _, _ = _gauged_block(two_j, 0)
+    return linalg._border_pattern(indptr, indices, np.flatnonzero(triangle[0] == triangle[1]))
 
 
 def _step_runs(steps, slack):
@@ -496,13 +511,15 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
     directions (rho = ph * i K has a zero diagonal), and a unique steady
     state has trace one, so the one-dimensional kernel lies in the
     symmetric block, of d(d+1)/2 unknowns, and the antisymmetric block
-    is never built.  null_vector solves it bordered by the trace
+    is never built.  It is solved bordered by the trace
     functional, the indicator of the diagonal coordinates: the block's
     exact left kernel, whose overlap with the kernel is the steady
     state's trace, so the bordered matrix is well conditioned whenever
     the steady state is unique.  Up to linalg._DENSE_LU_MAX unknowns
     (j <= 7) the k blocks are assembled dense and solved as one stack;
-    larger blocks are solved one point at a time as CSC by SuperLU.
+    larger blocks are solved one point at a time by SuperLU, each point
+    scattering its values into the bordered structure that
+    _bordered_block caches per spin (linalg._sparse_null_vector).
     rho = ph * S / tr(S) is Hermitian by construction, and one
     validate_density_matrix call checks the stack; a failing state or
     kernel is named by its parameters on both routes.
@@ -534,11 +551,9 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
         G[:, indices, cols] = _generator_values(units, omega[:, None], gamma_a[:, None], nbar[:, None])
         x = null_vector(G, trace, settings, label)
     else:
-        import scipy.sparse as sp
-
+        pattern = _bordered_block(s.two_j)
         x = np.empty((len(omega), n))
         for k in range(len(omega)):
-            data = _generator_values(units, omega[k], gamma_a[k], nbar[k])
-            G = sp.csc_array((data, indices, indptr), shape=(n, n))
-            x[k] = null_vector(G, trace, settings, lambda _: label(k))
+            values = _generator_values(units, omega[k], gamma_a[k], nbar[k])
+            x[k] = linalg._sparse_null_vector(pattern, values, trace, settings, lambda _: label(k))
     return validate_density_matrix(_symmetric_rho(x, triangle, _gauge(s.two_j)), settings, label)

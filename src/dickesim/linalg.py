@@ -10,7 +10,12 @@ dtype.  Up to _DENSE_LU_MAX unknowns one numpy kernel inverts the
 bordered matrix, of one matrix or of a (k, n, n) stack at once, which
 gives the null vector and the exact condition number kappa_1 together.
 Larger matrices go to SuperLU with a Hager-Higham estimate of kappa_1.
-scipy is imported only on that route and for scipy.sparse input.
+There the bordered matrix is one CSC structure (_border_pattern) and a
+data array that one scatter fills; a caller that solves many matrices
+of one structure, as the steady states do on a parameter grid, builds
+that structure once and hands each matrix's entries to
+_sparse_null_vector.  scipy is imported only on that route and for
+scipy.sparse input.
 """
 
 from __future__ import annotations
@@ -137,30 +142,52 @@ def _bordered_inverse(A, border, item):
         return inverse[:, :n, n], _norm1(M) * _norm1(inverse)
 
 
-def _bordered_solve(A, border, item):
-    """x and a kappa_1 estimate of [[A, b], [b^H, 0]] by one SuperLU factorisation.
+def _border_pattern(indptr, indices, nz):
+    """CSC structure of M = [[A, b], [b^H, 0]] from the canonical structure of A.
 
-    A is canonical CSC of b's dtype.  Only b's nonzeros are inserted
-    into A's CSC arrays, as the last row and column.  The condition
-    estimate reuses the factors (_inverse_norm1_estimate).  A zero
-    pivot raises DegenerateKernelError naming item(0).
+    Only b's nonzeros nz go in: row n as the last entry of their columns,
+    and column n.  Returns (indptr, indices, slots, nz), indptr and
+    indices of M as int32, and slots the position in M's data of each
+    entry of A, then of b^H at nz, then of b at nz, so that one scatter
+    of these values fills M.  All arrays are read-only.
+    """
+    n = len(indptr) - 1
+    nnz, m = int(indptr[-1]), len(nz)
+    ends = indptr[1:][nz]  # row n goes last in each of these columns
+    shift = np.zeros(n + 1, dtype=np.int64)
+    shift[nz + 1] = 1
+    # np.insert puts b^H's entries before these ends, in the order of nz
+    slots = np.empty(nnz + 2 * m, dtype=np.intp)
+    slots[np.insert(np.arange(nnz), ends, nnz + np.arange(m))] = np.arange(nnz + m)
+    slots[nnz + m:] = np.arange(nnz + m, nnz + 2 * m)
+    out = (
+        np.append(indptr + np.cumsum(shift), nnz + 2 * m).astype(np.int32),
+        np.concatenate([np.insert(indices, ends, n), nz]).astype(np.int32),
+        slots,
+        nz,
+    )
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _bordered_solve(pattern, values, border, item):
+    """x, a kappa_1 estimate and ||A x|| of M = [[A, b], [b^H, 0]] by one SuperLU factorisation.
+
+    pattern is the _border_pattern of A's structure and b's nonzeros,
+    values A's entries on it and border b, both of one dtype.  The
+    condition estimate reuses the factors (_inverse_norm1_estimate), and
+    A x is read from M.  A zero pivot raises DegenerateKernelError
+    naming item(0).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    n = A.shape[0]
-    nz = np.flatnonzero(border)
-    shift = np.zeros(n + 1, dtype=A.indptr.dtype)
-    shift[nz + 1] = 1
-    ends = A.indptr[1:][nz]  # row n goes last in each of these columns
-    bordered = sp.csc_array(
-        (
-            np.concatenate([np.insert(A.data, ends, border[nz].conj()), border[nz]]),
-            np.concatenate([np.insert(A.indices, ends, n), nz]),
-            np.append(A.indptr + np.cumsum(shift), A.nnz + 2 * len(nz)),
-        ),
-        shape=(n + 1, n + 1),
-    )
+    indptr, indices, slots, nz = pattern
+    n = len(indptr) - 2
+    data = np.empty(len(slots), dtype=border.dtype)
+    data[slots] = np.concatenate((values, border[nz].conj(), border[nz]))
+    bordered = sp.csc_array((data, indices, indptr), shape=(n + 1, n + 1))
     try:
         lu = splu(bordered, **_SPLU_OPTIONS)
     except RuntimeError:  # a zero pivot
@@ -169,11 +196,79 @@ def _bordered_solve(A, border, item):
     def solve(b, adjoint):
         return lu.solve(b, trans="H" if adjoint else "N")
 
-    rhs = np.zeros(n + 1, dtype=A.dtype)
-    rhs[n] = 1.0
-    x = solve(rhs, False)[:n]
-    norm1 = abs(bordered).sum(axis=0).max()
-    return x, norm1 * _inverse_norm1_estimate(solve, n + 1, A.dtype)
+    y = np.zeros(n + 1, dtype=data.dtype)
+    y[n] = 1.0
+    y = solve(y, False)
+    x = y[:n]
+    # column sums of |M|; an empty column reads the next column's first
+    # entry, which that column's own sum bounds, so the maximum is exact
+    norm1 = np.add.reduceat(np.abs(data), indptr[:-1]).max()
+    y[n] = 0.0
+    residual = np.linalg.norm((bordered @ y)[:n])
+    return x, norm1 * _inverse_norm1_estimate(solve, n + 1, data.dtype), residual
+
+
+def _namer(label, stack):
+    """item(i), the prefix that names item i in an error: label(i) when given."""
+    if label is not None:
+        return lambda i: f"{label(i)}: "
+    return (lambda i: f"item {i}: ") if stack else (lambda i: "")
+
+
+def _scaled_borders(fnorm, border, dtype, item):
+    """The border scaled to ||A||_F / sqrt(n) for each item, as a (k, n) array of dtype.
+
+    A zero matrix of size n > 1 raises DegenerateKernelError; a zero
+    1 x 1 matrix is its own kernel, bordered at unit scale.
+    """
+    n = len(border)
+    zero = np.flatnonzero(fnorm == 0.0)
+    if n > 1 and zero.size:
+        raise DegenerateKernelError(
+            f"{item(zero[0])}zero matrix of size {n}: null space has dimension {n}"
+        )
+    scale = np.where(fnorm == 0.0, 1.0, fnorm) / np.sqrt(n) / np.linalg.norm(border)
+    return scale[:, None] * border.astype(dtype)
+
+
+def _accepted(x, kappa, residual, fnorm, kind, settings, item):
+    """The (k, n) rows of x at unit norm once each passes null_vector's two checks."""
+    unique = kappa * settings.null_gap_rtol <= 1.0
+    xnorm = np.linalg.norm(x, axis=1)
+    null = residual <= settings.null_rtol * fnorm * xnorm
+    failed = np.flatnonzero(~(unique & null))
+    if failed.size:
+        i = failed[0]
+        if not unique[i]:
+            raise DegenerateKernelError(
+                f"{item(i)}null space not one-dimensional: {kind} {kappa[i]:.3e} of the "
+                f"bordered matrix exceeds 1 / null_gap_rtol = {1.0 / settings.null_gap_rtol:.1e}"
+            )
+        raise DegenerateKernelError(
+            f"{item(i)}no null vector at working precision: ||A x|| / (||A||_F ||x||) = "
+            f"{residual[i] / (fnorm[i] * xnorm[i]):.3e} > null_rtol = "
+            f"{settings.null_rtol:.1e}, so none of the singular values of A is "
+            "numerically zero"
+        )
+    return x / xnorm[:, None]
+
+
+def _sparse_null_vector(pattern, values, border, settings, label):
+    """null_vector above _DENSE_LU_MAX unknowns, of the A whose entries on pattern are values.
+
+    pattern is _border_pattern(indptr, indices, flatnonzero(border)) of
+    A's canonical CSC structure, and values are finite; a caller that
+    solves many matrices of one structure builds it once.  Everything
+    else is null_vector's: the scaled border, the one SuperLU
+    factorisation, both checks and the errors, named by label.
+    """
+    item = _namer(label, False)
+    dtype = np.result_type(values.dtype, border.dtype, float)
+    fnorm = np.linalg.norm(values, keepdims=True)
+    borders = _scaled_borders(fnorm, border, dtype, item)
+    x, kappa, residual = _bordered_solve(pattern, values.astype(dtype, copy=False), borders[0], item)
+    return _accepted(x[None], np.array([kappa]), np.array([residual]), fnorm,
+                     "condition estimate", settings, item)[0]
 
 
 def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
@@ -187,7 +282,8 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
     the caller's border scaled to ||A||_F / sqrt(n), so that M, and with
     it every check, is invariant under A -> c A.  Up to _DENSE_LU_MAX
     unknowns M is inverted (_bordered_inverse), sparse input included;
-    above, a single matrix is factored by SuperLU (_bordered_solve).
+    above, a single matrix is factored by SuperLU (_bordered_solve) on
+    the structure _border_pattern builds from A's.
 
     M is nonsingular exactly when the kernel of A is one-dimensional
     and neither it nor the left kernel is orthogonal to b; then mu = 0
@@ -215,58 +311,20 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
     border = np.asarray(border).reshape(-1)
     if border.shape != (n,) or not np.all(np.isfinite(border)) or not border.any():
         raise ValidationError(f"border must be a finite nonzero vector of length {n}")
-    dense = n <= _DENSE_LU_MAX
-    if dense:
-        A = (A.toarray() if sparse else A).reshape(-1, n, n)
-        if not np.all(np.isfinite(A)):
-            raise ValidationError("matrix contains non-finite entries")
-        fnorm = np.linalg.norm(A.reshape(len(A), n * n), axis=1)
-    elif stack:
-        raise ValidationError(f"a stack of matrices needs at most {_DENSE_LU_MAX} unknowns")
-    else:
+    if n > _DENSE_LU_MAX:
+        if stack:
+            raise ValidationError(f"a stack of matrices needs at most {_DENSE_LU_MAX} unknowns")
         A = _as_csc(A)
-        fnorm = np.linalg.norm(A.data, keepdims=True)
+        pattern = _border_pattern(A.indptr, A.indices, np.flatnonzero(border))
+        return _sparse_null_vector(pattern, A.data, border, settings, label)
+    A = (A.toarray() if sparse else A).reshape(-1, n, n)
+    if not np.all(np.isfinite(A)):
+        raise ValidationError("matrix contains non-finite entries")
+    fnorm = np.linalg.norm(A.reshape(len(A), n * n), axis=1)
     dtype = np.result_type(A.dtype, border.dtype, float)
     A = A.astype(dtype, copy=False)
-
-    def item(i):
-        if label is not None:
-            return f"{label(i)}: "
-        return f"item {i}: " if stack else ""
-
-    zero = np.flatnonzero(fnorm == 0.0)
-    if n > 1 and zero.size:
-        raise DegenerateKernelError(
-            f"{item(zero[0])}zero matrix of size {n}: null space has dimension {n}"
-        )
-    # a zero 1 x 1 matrix is its own kernel; border it at unit scale
-    scale = np.where(fnorm == 0.0, 1.0, fnorm) / np.sqrt(n) / np.linalg.norm(border)
-    borders = scale[:, None] * border.astype(dtype)
-    if dense:
-        x, kappa = _bordered_inverse(A, borders, item)
-        residual = np.linalg.norm((A @ x[:, :, None])[:, :, 0], axis=1)
-        kind = "condition number"
-    else:
-        x, kappa = _bordered_solve(A, borders[0], item)
-        x, kappa = x[None], np.array([kappa])
-        residual = np.linalg.norm(A @ x[0], keepdims=True)
-        kind = "condition estimate"
-    unique = kappa * settings.null_gap_rtol <= 1.0
-    xnorm = np.linalg.norm(x, axis=1)
-    null = residual <= settings.null_rtol * fnorm * xnorm
-    failed = np.flatnonzero(~(unique & null))
-    if failed.size:
-        i = failed[0]
-        if not unique[i]:
-            raise DegenerateKernelError(
-                f"{item(i)}null space not one-dimensional: {kind} {kappa[i]:.3e} of the "
-                f"bordered matrix exceeds 1 / null_gap_rtol = {1.0 / settings.null_gap_rtol:.1e}"
-            )
-        raise DegenerateKernelError(
-            f"{item(i)}no null vector at working precision: ||A x|| / (||A||_F ||x||) = "
-            f"{residual[i] / (fnorm[i] * xnorm[i]):.3e} > null_rtol = "
-            f"{settings.null_rtol:.1e}, so none of the singular values of A is "
-            "numerically zero"
-        )
-    x = x / xnorm[:, None]
+    item = _namer(label, stack)
+    x, kappa = _bordered_inverse(A, _scaled_borders(fnorm, border, dtype, item), item)
+    residual = np.linalg.norm((A @ x[:, :, None])[:, :, 0], axis=1)
+    x = _accepted(x, kappa, residual, fnorm, "condition number", settings, item)
     return x if stack else x[0]

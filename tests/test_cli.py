@@ -211,6 +211,37 @@ def test_spin_value_bound_exits_2_before_allocating(args, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fig3_time_bound_exits_2_before_any_row(tmp_path, capsys, monkeypatch):
+    # 20 000 small-drive rows at j = 128 pass the row and spin bounds but
+    # would take ~28 min; the estimate stops them before any row is solved
+    def solved(*args):
+        raise AssertionError("a fig3 row was computed")
+
+    monkeypatch.setattr(cli, "steady_state_analytic", solved)
+    out = tmp_path / "out.csv"
+    args = ["fig3", "--j-list", "128", "--omega-r-grid", "0.05:0.05:20000", "--output", str(out)]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "fig3's estimated seconds" in err and f"over the limit of {cli.FIG3_SECONDS_LIMIT}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("j_list, grid", [
+    ("1,4,16,64", "0.05:3:60"),     # the paper's grid
+    ("1,4,16,64", "0.05:3:119"),    # the benchmark's
+    ("1,4,16,64", "0.05:3:23"),     # CI's
+    ("128", "0.05:3:1400"),
+    ("16", "0.05:3:20000"),
+])
+def test_fig3_time_bound_admits(j_list, grid, tmp_path, monkeypatch):
+    # the bound passes these requests on to the row blocks (stubbed here)
+    mapped = []
+    monkeypatch.setattr(cli, "_map_blocks", lambda worker, groups, *rest: mapped.append(groups) or [])
+    assert run_cli(["fig3", "--j-list", j_list, "--omega-r-grid", grid,
+                    "--output", str(tmp_path / "out.csv")]) == 0
+    assert len(mapped) == 1
+
+
 def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(params, settings):
         raise MemoryError

@@ -529,10 +529,10 @@ def test_steady_near_pure_state_one_bordered_solve(monkeypatch):
     kappas = []
     real = linalg._bordered_solve
 
-    def recording(A, border, item):
-        x, kappa = real(A, border, item)
+    def recording(pattern, values, border, item):
+        x, kappa, residual = real(pattern, values, border, item)
         kappas.append(kappa)
-        return x, kappa
+        return x, kappa, residual
 
     monkeypatch.setattr(linalg, "_bordered_solve", recording)
     steady_state_numeric(ModelParams(j=16, omega=1.0, gamma_a=0.0794))
@@ -561,6 +561,46 @@ def test_steady_factors_once(monkeypatch, j):
     n = d * d if j <= 5 else d * (d + 1) // 2
     assert (n <= linalg._DENSE_LU_MAX) == (j <= 7)
     assert factored == [("inv", (1, n + 1, n + 1)) if j <= 7 else ("splu", n + 1)]
+
+
+def test_steady_borders_the_block_once_per_spin(monkeypatch):
+    # the trace-bordered structure is built once per spin, for a grid and
+    # for repeated single points, at nbar = 0 (zero heating values stay
+    # explicit entries) and nbar > 0 alike; each point is one factorisation
+    built, factored = [], []
+    real_pattern = linalg._border_pattern
+    real_splu = scipy.sparse.linalg.splu
+
+    def border_pattern(*args):
+        built.append(len(args[0]) - 1)
+        return real_pattern(*args)
+
+    def splu(a, *args, **kwargs):
+        factored.append(a.nnz)
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_border_pattern", border_pattern)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    dynamics._bordered_block.cache_clear()
+    steady_states_numeric(8, 1.0, [0.3, 0.5, 0.9], [0.0, 0.3, 0.0])
+    n = 17 * 18 // 2
+    assert built == [n] and len(factored) == 3
+    for nbar in (0.0, 0.3, 0.0):
+        steady_state_numeric(ModelParams(j=8, omega=1.0, gamma_a=0.5, nbar=nbar))
+    assert built == [n] and len(factored) == 6 and len(set(factored)) == 1
+    steady_states_numeric(16, 1.0, [0.3, 0.5], 0.3)
+    assert built == [n, 33 * 34 // 2] and len(factored) == 8
+
+
+def test_bordered_block_cache_does_not_change_states():
+    gammas, nbars = [0.3, 0.5, 0.9], [0.0, 0.3, 1.0]
+    dynamics._bordered_block.cache_clear()
+    cold = steady_states_numeric(8, 1.0, gammas, nbars)
+    assert dynamics._bordered_block.cache_info().currsize == 1
+    warm = steady_states_numeric(8, 1.0, gammas, nbars)
+    assert np.array_equal(cold, warm)
+    indptr, indices, slots, nz = dynamics._bordered_block(16)
+    assert not any(a.flags.writeable for a in (indptr, indices, slots, nz))
 
 
 @pytest.mark.parametrize("two_j", [1, 4, 11, 12, 32])

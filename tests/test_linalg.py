@@ -12,7 +12,7 @@ from dickesim import (
     validate_density_matrix,
 )
 from dickesim import linalg
-from util import null_vector_svd, random_unitary
+from util import bordered_bmat, null_vector_svd, random_unitary
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 normal = st.floats(
@@ -147,6 +147,48 @@ def test_null_vector_sparse_input_checks():
         null_vector(sp.csc_array(np.ones((2, 3))), np.ones(2))
     with pytest.raises(ValidationError, match="non-finite"):
         null_vector(sp.csc_array(np.array([[np.inf, 0.0], [0.0, 1.0]])), np.ones(2))
+
+
+@pytest.mark.parametrize("complex_border", [False, True])
+def test_sparse_bordered_matrix_matches_bmat(monkeypatch, complex_border):
+    # generic sparse input: entries in random order, duplicates, explicit
+    # zeros (one a duplicate pair that cancels) and a border with zeros;
+    # SuperLU must get the bmat bordering, structure and entries alike
+    import scipy.sparse.linalg
+
+    rng = np.random.default_rng(8)
+    n = linalg._DENSE_LU_MAX + 29
+    dense = rng.normal(size=(n, n))
+    dense[np.abs(dense) < 1.2] = 0.0
+    dense[:, 0] = dense[:, 1:] @ rng.normal(size=n - 1)  # one kernel direction
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols]
+    half = rng.random(len(vals)) < 0.3  # split these entries into two duplicates
+    rows = np.concatenate([rows, rows[half], [5, 7, 7], [9]])
+    cols = np.concatenate([cols, cols[half], [6, 8, 8], [n - 1]])
+    vals = np.concatenate([np.where(half, 0.25, 1.0) * vals, 0.75 * vals[half], [0.0, 2.5, -2.5], [0.0]])
+    order = rng.permutation(len(vals))
+    A = sp.coo_array((vals[order], (rows[order], cols[order])), shape=(n, n))
+    border = rng.normal(size=n) * (rng.random(n) < 0.5)
+    if complex_border:
+        border = border * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    factored = []
+    real_splu = scipy.sparse.linalg.splu
+
+    def splu(a, *args, **kwargs):
+        factored.append(a)
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    x = null_vector(A, border)
+    expected = bordered_bmat(A, border)
+    (M,) = factored
+    assert M.has_canonical_format and expected.has_canonical_format
+    assert np.count_nonzero(M.data == 0.0) == 3  # the explicit zeros stay
+    assert np.array_equal(M.indptr, expected.indptr)
+    assert np.array_equal(M.indices, expected.indices)
+    assert np.array_equal(M.data, expected.data)
+    assert np.linalg.norm(A @ x) < 1e-12 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("n", [3, 6, 12, 160])

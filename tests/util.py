@@ -189,6 +189,23 @@ def null_vector_svd(A, settings=DEFAULT):
     return Vh[-1].conj()
 
 
+def bordered_bmat(A, border):
+    """[[A, b], [b^H, 0]] as canonical CSC by scipy.sparse.bmat, b the border at null_vector's scale.
+
+    null_vector scales b to ||A||_F / sqrt(n); duplicates of A are summed
+    and its explicit zeros kept, and only b's nonzeros are stored.  The
+    oracle for the bordered matrix that null_vector hands to SuperLU.
+    """
+    import scipy.sparse as sp
+
+    A = sp.coo_array(A)
+    n = A.shape[0]
+    fnorm = np.linalg.norm(sp.csc_array(A).data)
+    b = (fnorm / np.sqrt(n) / np.linalg.norm(border)) * np.asarray(border)
+    M = sp.bmat([[A, sp.coo_array(b[:, None])], [sp.coo_array(b.conj()[None, :]), None]])
+    return sp.csc_array(M)
+
+
 def steady_state_svd(params):
     """Steady state through the dense generator and null_vector_svd."""
     d = params.j.dim
