@@ -91,10 +91,13 @@ def normalization_D(spin, gamma) -> float:
     """Trace of the unnormalized stationary sum, tr(S S^dag), for one gamma.
 
     For j = 1 this is the quartic 3 + 4 gamma^2 + 4 gamma^4.  Raises
-    NumericRangeError when the true value exceeds double-precision range
-    (large j with large gamma).
+    ValidationError for an array of gamma, and NumericRangeError when
+    the true value exceeds double-precision range (large j with large
+    gamma).
     """
     s, gamma = _validate(spin, gamma)
+    if gamma.ndim:
+        raise ValidationError(f"normalization_D takes one gamma, got an array of shape {gamma.shape}")
     Shat, log_scale = _scaled_sum(s, gamma)
     # tr(S S^dag) = sum |S_ab|^2 = exp(2 log_scale) * sum |Shat_ab|^2
     log_scale2 = 2.0 * float(log_scale)

@@ -27,9 +27,10 @@ symmetric block, solved for a whole parameter grid at once
 (steady_states_numeric: one dense stack up to j = 7, SuperLU a point at
 a time above, where the block's trace-bordered CSC structure is built
 once per spin, _bordered_block, and each point fills only its data);
-steady_state_numeric solves one point, on the full d^2 gauged
-generator up to j = 5.  scipy is imported only by evolve (scipy.linalg,
-for expm), build_liouvillian and the steady states (scipy.sparse).
+steady_state_numeric solves one point, up to j = 5 on the full d^2
+gauged generator made dense (null_vector takes dense input only).
+scipy is imported only by evolve (scipy.linalg, for expm),
+build_liouvillian and the steady states (scipy.sparse).
 """
 
 from __future__ import annotations
@@ -477,12 +478,12 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
 
     Above j = 5 this is steady_states_numeric on a grid of one point.
     Up to j = 5 the full d^2 x d^2 generator is solved in the real gauge:
-    build_liouvillian's structure carries the real gauged values, and
-    one null_vector call solves it bordered by vec(I), its exact left
-    kernel; rho = ph * (Y + Y^T) / (2 tr Y).  The benchmark's self-test
-    pins this route's one build_liouvillian call and its d^2-unknown
-    null_vector at j = 2; the symmetric block can take these spins too
-    once that pin is restated.  Raises CapacityError above
+    build_liouvillian's structure carries the real gauged values, made
+    dense, and one null_vector call solves it bordered by vec(I), its
+    exact left kernel; rho = ph * (Y + Y^T) / (2 tr Y).  The benchmark's
+    self-test pins this route's one build_liouvillian call and its
+    d^2-unknown null_vector at j = 2; the symmetric block can take these
+    spins too once that pin is restated.  Raises CapacityError above
     STEADY_DIM_LIMIT.
     """
     p = params
@@ -493,7 +494,7 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
     G = build_liouvillian(p)
     G.data = _generator_values(_generator_pattern(p.j.two_j)[2], p.omega, p.gamma_a, p.nbar)
     # bordered by vec(I), d ones on the diagonal coordinates
-    Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
+    Y = null_vector(G.toarray(), np.eye(d).ravel(), settings).reshape(d, d, order="F")
     rho = _gauge(p.j.two_j) * ((Y + Y.T) / (2.0 * np.trace(Y)))
     return validate_density_matrix(rho, settings, "steady state")
 

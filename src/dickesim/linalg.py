@@ -1,26 +1,24 @@
-"""Null vectors of dense and scipy.sparse matrices, with their input checks.
+"""Null vectors of dense matrices and of one CSC structure, with their input checks.
 
 The point is not the math (LAPACK and SuperLU do that) but the
 guarantees: input is checked to be a finite square matrix, and an
 ill-posed null-space problem raises a typed error instead of handing
 back garbage.  (Density matrices are checked elsewhere, by
-dynamics.check_states.)  null_vector factors the matrix
-once, bordered by a vector its caller chooses, in the matrix's own
-dtype.  Up to _DENSE_LU_MAX unknowns one numpy kernel inverts the
-bordered matrix, of one matrix or of a (k, n, n) stack at once, which
-gives the null vector and the exact condition number kappa_1 together.
-Larger matrices go to SuperLU with a Hager-Higham estimate of kappa_1.
-There the bordered matrix is one CSC structure (_border_pattern) and a
-data array that one scatter fills; a caller that solves many matrices
-of one structure, as the steady states do on a parameter grid, builds
-that structure once and hands each matrix's entries to
-_sparse_null_vector.  scipy is imported only on that route and for
-scipy.sparse input.
+dynamics.check_states.)  Each solve factors the matrix once, bordered
+by a vector its caller chooses, in the matrix's own dtype.
+null_vector takes dense input of at most _DENSE_LU_MAX unknowns, one
+matrix or a (k, n, n) stack, and one numpy kernel inverts the bordered
+matrices, which gives the null vector and the exact condition number
+kappa_1 together.  Larger matrices go to SuperLU with a Hager-Higham
+estimate of kappa_1, through _sparse_null_vector: there the bordered
+matrix is one CSC structure (_border_pattern) and a data array that
+one scatter fills, so a caller that solves many matrices of one
+structure, as the steady states do on a parameter grid, builds that
+structure once and hands over each matrix's entries.  scipy is
+imported only on that route.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
@@ -45,35 +43,6 @@ _DENSE_LU_MAX = 121
 _SPLU_OPTIONS = dict(
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True)
 )
-
-
-def _require_square(shape, stack=False):
-    ndim = 3 if stack else 2
-    if len(shape) != ndim:
-        raise ValidationError(f"matrix must be {ndim}-dimensional, got ndim={len(shape)}")
-    if shape[-2] != shape[-1] or shape[-1] < 1:
-        raise ValidationError(f"matrix must be square and nonempty, got shape {shape}")
-
-
-def _is_sparse(entries):
-    """True for scipy.sparse input; there is none before scipy.sparse is imported."""
-    sp = sys.modules.get("scipy.sparse")
-    return sp is not None and sp.issparse(entries)
-
-
-def _as_csc(entries, name="matrix"):
-    """Finite square CSC array, duplicates summed, from dense or sparse input.
-
-    float64 when the entries are real, complex128 otherwise.
-    """
-    import scipy.sparse as sp
-
-    A = entries.tocsc() if sp.issparse(entries) else sp.csc_array(entries)
-    A = A.astype(complex if np.iscomplexobj(A.data) else float, copy=False)
-    A.sum_duplicates()
-    if not np.all(np.isfinite(A.data)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return A
 
 
 def _inverse_norm1_estimate(solve, n, dtype):
@@ -258,9 +227,10 @@ def _sparse_null_vector(pattern, values, border, settings, label):
 
     pattern is _border_pattern(indptr, indices, flatnonzero(border)) of
     A's canonical CSC structure, and values are finite; a caller that
-    solves many matrices of one structure builds it once.  Everything
-    else is null_vector's: the scaled border, the one SuperLU
-    factorisation, both checks and the errors, named by label.
+    solves many matrices of one structure builds it once.  The bordered
+    matrix is factored once by SuperLU (_bordered_solve); the scaled
+    border, both checks and the errors, named by label, are
+    null_vector's.
     """
     item = _namer(label, False)
     dtype = np.result_type(values.dtype, border.dtype, float)
@@ -274,16 +244,15 @@ def _sparse_null_vector(pattern, values, border, settings, label):
 def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
     """Unit-norm vector spanning a one-dimensional null space of A.
 
-    A may be a dense array or a scipy.sparse matrix, real or complex;
-    the work is done in its dtype (complex if border is).  Dense input
-    may also be a (k, n, n) stack, solved item by item in one pass, for
-    a (k, n) result.  Each solve is one factorisation of the bordered
-    matrix M = [[A, b], [b^H, 0]], solving M [x; mu] = [0; 1], with b
-    the caller's border scaled to ||A||_F / sqrt(n), so that M, and with
-    it every check, is invariant under A -> c A.  Up to _DENSE_LU_MAX
-    unknowns M is inverted (_bordered_inverse), sparse input included;
-    above, a single matrix is factored by SuperLU (_bordered_solve) on
-    the structure _border_pattern builds from A's.
+    A is a dense (n, n) array, real or complex, or a (k, n, n) stack,
+    solved item by item in one pass for a (k, n) result, with
+    1 <= n <= _DENSE_LU_MAX; anything else, scipy.sparse input included,
+    raises ValidationError (larger matrices: _sparse_null_vector).  The
+    work is done in A's dtype (complex if border is).  Each solve
+    inverts the bordered matrix M = [[A, b], [b^H, 0]]
+    (_bordered_inverse), solving M [x; mu] = [0; 1], with b the caller's
+    border scaled to ||A||_F / sqrt(n), so that M, and with it every
+    check, is invariant under A -> c A.
 
     M is nonsingular exactly when the kernel of A is one-dimensional
     and neither it nor the left kernel is orthogonal to b; then mu = 0
@@ -296,28 +265,24 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
     label(i) when given, else as "item i" in a stack:
 
     * uniqueness: 1 / kappa_1(M) must reach ``null_gap_rtol``; kappa_1
-      is exact on the dense route and a Hager-Higham lower bound on
-      SuperLU's;
+      is exact here and a Hager-Higham lower bound on SuperLU's route;
     * existence: ``||A x|| <= null_rtol * ||A||_F * ||x||``.
 
     A border (nearly) orthogonal to the kernel or the left kernel fails
     the first check although the kernel may be simple.
     """
-    sparse = _is_sparse(A)
-    A = A if sparse else np.asarray(A)
-    stack = not sparse and A.ndim == 3
-    _require_square(A.shape, stack)
+    A = np.asarray(A)
+    if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not 1 <= A.shape[-1] <= _DENSE_LU_MAX:
+        raise ValidationError(
+            f"matrix must be a square (n, n) array or a (k, n, n) stack of them with "
+            f"1 <= n <= {_DENSE_LU_MAX}, got shape {A.shape} of dtype {A.dtype}"
+        )
+    stack = A.ndim == 3
     n = A.shape[-1]
     border = np.asarray(border).reshape(-1)
     if border.shape != (n,) or not np.all(np.isfinite(border)) or not border.any():
         raise ValidationError(f"border must be a finite nonzero vector of length {n}")
-    if n > _DENSE_LU_MAX:
-        if stack:
-            raise ValidationError(f"a stack of matrices needs at most {_DENSE_LU_MAX} unknowns")
-        A = _as_csc(A)
-        pattern = _border_pattern(A.indptr, A.indices, np.flatnonzero(border))
-        return _sparse_null_vector(pattern, A.data, border, settings, label)
-    A = (A.toarray() if sparse else A).reshape(-1, n, n)
+    A = A.reshape(-1, n, n)
     if not np.all(np.isfinite(A)):
         raise ValidationError("matrix contains non-finite entries")
     fnorm = np.linalg.norm(A.reshape(len(A), n * n), axis=1)

@@ -194,3 +194,10 @@ def test_validation_errors():
         closed_form_j1(-1.0)
     with pytest.raises(ValidationError):
         normalization_D(1, float("nan"))
+
+
+@pytest.mark.parametrize("gamma", [[1.0, 2.0], np.array([1.0]), np.ones((2, 2))])
+def test_normalization_rejects_an_array_of_gamma(gamma):
+    # one gamma only: an array raises a typed error naming its shape
+    with pytest.raises(ValidationError, match=rf"one gamma, got an array of shape \({np.shape(gamma)[0]},"):
+        normalization_D(1, gamma)

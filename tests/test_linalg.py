@@ -12,7 +12,7 @@ from dickesim import (
     validate_density_matrix,
 )
 from dickesim import linalg
-from util import bordered_bmat, null_vector_svd, random_unitary
+from util import bordered_bmat, null_vector_svd, random_unitary, superlu_null_vector
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 normal = st.floats(
@@ -121,38 +121,61 @@ def test_working_tolerance_must_be_finite_and_positive(tol):
     assert DEFAULT.with_working_tolerance(1e-12).null_rtol == 1e-12
 
 
+_SHAPE_ERROR = r"^matrix must be a square \(n, n\) array or a \(k, n, n\) stack"
+
+
+def _solve(a, border, label=None):
+    """a's null vector on the route for its size: dense null_vector, or SuperLU on its CSC."""
+    a = sp.csc_array(a)
+    if a.shape[0] <= linalg._DENSE_LU_MAX:
+        return null_vector(a.toarray(), border, label=label)
+    return superlu_null_vector(a, border, label=label)
+
+
 @pytest.mark.parametrize("n", [7, 200])  # dense and SuperLU factorisation
 @pytest.mark.parametrize("kind", ["csc_array", "csr_matrix", "coo_array"])
 def test_null_vector_sparse_input(kind, n):
+    # null_vector refuses scipy.sparse input of every format; the route
+    # for the matrix's size solves it: dense, or SuperLU on canonical CSC
     rng = np.random.default_rng(5)
     dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     dense[np.abs(dense) < 0.4] = 0.0
     dense[:, 3] = dense[:, :3] @ [1.0, -2.0, 0.5j]  # one kernel direction
-    x = null_vector(getattr(sp, kind)(dense), np.ones(n))
+    with pytest.raises(ValidationError, match=_SHAPE_ERROR):
+        null_vector(getattr(sp, kind)(dense), np.ones(n))
+    x = _solve(dense, np.ones(n))
+    if n > linalg._DENSE_LU_MAX:
+        # the dense kernel on the same border, past null_vector's size limit
+        border = linalg._scaled_borders(np.linalg.norm(dense, keepdims=True), np.ones(n), complex, str)
+        y, _ = linalg._bordered_inverse(dense[None], border, str)
+        assert _phase_free_gap(x, y[0] / np.linalg.norm(y[0])) < 1e-13
     assert np.linalg.norm(dense @ x) < 1e-12 * np.linalg.norm(dense)
-    assert _phase_free_gap(x, null_vector(dense, np.ones(n))) < 1e-13
     assert _phase_free_gap(x, null_vector_svd(dense)) < 1e-12
 
 
-def test_null_vector_sums_duplicate_entries():
-    # diag(0, 1, 2) stored with the (1, 1) entry split in two
-    a = sp.coo_array(([0.25, 0.75, 2.0], ([1, 1, 2], [1, 1, 2])), shape=(3, 3))
-    x = null_vector(a, np.ones(3))
-    assert np.abs(np.abs(x[0]) - 1.0) < 1e-12
-    assert np.abs(x[1:]).max() < 1e-12
-
-
 def test_null_vector_sparse_input_checks():
-    with pytest.raises(ValidationError, match="square"):
-        null_vector(sp.csc_array(np.ones((2, 3))), np.ones(2))
-    with pytest.raises(ValidationError, match="non-finite"):
-        null_vector(sp.csc_array(np.array([[np.inf, 0.0], [0.0, 1.0]])), np.ones(2))
+    # sparse input, square and finite or not, fails the one shape check
+    for a in (np.ones((2, 3)), np.array([[np.inf, 0.0], [0.0, 1.0]]), np.diag([0.0, 1.0])):
+        with pytest.raises(ValidationError, match=_SHAPE_ERROR):
+            null_vector(sp.csc_array(a), np.ones(2))
+
+
+@pytest.mark.parametrize("shape", [
+    (2,), (1, 1, 2, 2), (linalg._DENSE_LU_MAX + 1,) * 2, (2,) + (linalg._DENSE_LU_MAX + 1,) * 2,
+], ids=["1-D", "4-D", "single-too-large", "stack-too-large"])
+def test_null_vector_one_shape_and_size_error(shape):
+    # the wrong rank and too many unknowns, single or stacked, raise the
+    # error that sparse input raises
+    with pytest.raises(ValidationError, match=_SHAPE_ERROR) as err:
+        null_vector(np.zeros(shape), np.ones(shape[-1]))
+    assert str(err.value).endswith(
+        f"1 <= n <= {linalg._DENSE_LU_MAX}, got shape {shape} of dtype float64"
+    )
 
 
 @pytest.mark.parametrize("complex_border", [False, True])
 def test_sparse_bordered_matrix_matches_bmat(monkeypatch, complex_border):
-    # generic sparse input: entries in random order, duplicates, explicit
-    # zeros (one a duplicate pair that cancels) and a border with zeros;
+    # a canonical CSC matrix with explicit zeros and a border with zeros:
     # SuperLU must get the bmat bordering, structure and entries alike
     import scipy.sparse.linalg
 
@@ -163,12 +186,11 @@ def test_sparse_bordered_matrix_matches_bmat(monkeypatch, complex_border):
     dense[:, 0] = dense[:, 1:] @ rng.normal(size=n - 1)  # one kernel direction
     rows, cols = np.nonzero(dense)
     vals = dense[rows, cols]
-    half = rng.random(len(vals)) < 0.3  # split these entries into two duplicates
-    rows = np.concatenate([rows, rows[half], [5, 7, 7], [9]])
-    cols = np.concatenate([cols, cols[half], [6, 8, 8], [n - 1]])
-    vals = np.concatenate([np.where(half, 0.25, 1.0) * vals, 0.75 * vals[half], [0.0, 2.5, -2.5], [0.0]])
-    order = rng.permutation(len(vals))
-    A = sp.coo_array((vals[order], (rows[order], cols[order])), shape=(n, n))
+    rows = np.concatenate([rows, [5, 7, 9]])  # three explicit zeros
+    cols = np.concatenate([cols, [6, 8, n - 1]])
+    vals = np.concatenate([vals, np.zeros(3)])
+    A = sp.csc_array(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
+    assert A.has_canonical_format and np.count_nonzero(A.data == 0.0) == 3
     border = rng.normal(size=n) * (rng.random(n) < 0.5)
     if complex_border:
         border = border * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
@@ -180,7 +202,7 @@ def test_sparse_bordered_matrix_matches_bmat(monkeypatch, complex_border):
         return real_splu(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    x = null_vector(A, border)
+    x = superlu_null_vector(A, border)
     expected = bordered_bmat(A, border)
     (M,) = factored
     assert M.has_canonical_format and expected.has_canonical_format
@@ -191,7 +213,7 @@ def test_sparse_bordered_matrix_matches_bmat(monkeypatch, complex_border):
     assert np.linalg.norm(A @ x) < 1e-12 * np.linalg.norm(dense)
 
 
-@pytest.mark.parametrize("n", [3, 6, 12, 160])
+@pytest.mark.parametrize("n", [3, 6, 12, 160])  # dense and SuperLU factorisation
 def test_null_vector_second_singular_value_near_zero(n):
     # sigma_{n-1} = 1e-12 ||A||_F: numerically a two-dimensional kernel
     rng = np.random.default_rng(n)
@@ -204,12 +226,10 @@ def test_null_vector_second_singular_value_near_zero(n):
     with pytest.raises(DegenerateKernelError):
         null_vector_svd(a)
     with pytest.raises(DegenerateKernelError):
-        null_vector(a, u[:, -1])
-    with pytest.raises(DegenerateKernelError):
-        null_vector(sp.csc_array(a), u[:, -1])
+        _solve(a, u[:, -1])
     # the same matrix with a healthy second singular value passes
     s[-2] = 1e-3 * np.linalg.norm(s)
-    x = null_vector((u * s) @ v.conj().T, u[:, -1])
+    x = _solve((u * s) @ v.conj().T, u[:, -1])
     assert _phase_free_gap(x, v[:, -1]) < 1e-10
 
 
@@ -220,14 +240,14 @@ def test_null_vector_border_orthogonal_to_kernel_raises(extra):
     # is simple; the left kernel (2, -1, 0, ...) as the border solves it
     a = sp.block_diag([np.array([[1.0, 1.0], [2.0, 2.0]]), sp.eye_array(extra)], format="csc")
     with pytest.raises(DegenerateKernelError, match="not one-dimensional"):
-        null_vector(a, np.ones(2 + extra))
+        _solve(a, np.ones(2 + extra))
     with pytest.raises(DegenerateKernelError, match="^the point: .*bordered matrix is singular"):
-        null_vector(a, np.ones(2 + extra), label=lambda i: "the point")
+        _solve(a, np.ones(2 + extra), label=lambda i: "the point")
     left = np.zeros(2 + extra)
     left[:2] = [2.0, -1.0]
     expected = np.zeros(2 + extra)
     expected[:2] = [1.0, -1.0]
-    x = null_vector(a, left)
+    x = _solve(a, left)
     assert _phase_free_gap(x, expected / np.sqrt(2.0)) < 1e-14
 
 
@@ -252,12 +272,11 @@ def test_null_vector_keeps_real_dtype(n):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n))
     a[:, 0] = a[:, 1:] @ rng.normal(size=n - 1)  # one kernel direction
-    for matrix in (a, sp.csc_array(a)):
-        x = null_vector(matrix, np.ones(n))
-        assert x.dtype == np.float64
-        assert np.linalg.norm(a @ x) < 1e-12 * np.linalg.norm(a)
+    x = _solve(a, np.ones(n))
+    assert x.dtype == np.float64
+    assert np.linalg.norm(a @ x) < 1e-12 * np.linalg.norm(a)
     # a complex border makes the solve complex, with the same kernel
-    z = null_vector(a, np.exp(1j * np.arange(n)))
+    z = _solve(a, np.exp(1j * np.arange(n)))
     assert z.dtype == np.complex128
     assert _phase_free_gap(z, x) < 1e-12
 

@@ -17,7 +17,7 @@ from dickesim import (
     meanfield_rhs,
     validate_density_matrix,
 )
-from dickesim.linalg import null_vector
+from dickesim import linalg
 
 
 def trace_distance(a, b):
@@ -189,12 +189,25 @@ def null_vector_svd(A, settings=DEFAULT):
     return Vh[-1].conj()
 
 
+def superlu_null_vector(A, border, settings=DEFAULT, label=None):
+    """linalg._sparse_null_vector of a canonical CSC matrix A: the SuperLU route.
+
+    Borders A's own structure (linalg._border_pattern), as the steady
+    states do with their cached block structure, and solves it; A's
+    explicit zeros stay entries.
+    """
+    assert A.format == "csc" and A.has_canonical_format, "A must be canonical CSC"
+    border = np.asarray(border)
+    pattern = linalg._border_pattern(A.indptr, A.indices, np.flatnonzero(border))
+    return linalg._sparse_null_vector(pattern, A.data, border, settings, label)
+
+
 def bordered_bmat(A, border):
     """[[A, b], [b^H, 0]] as canonical CSC by scipy.sparse.bmat, b the border at null_vector's scale.
 
-    null_vector scales b to ||A||_F / sqrt(n); duplicates of A are summed
-    and its explicit zeros kept, and only b's nonzeros are stored.  The
-    oracle for the bordered matrix that null_vector hands to SuperLU.
+    null_vector scales b to ||A||_F / sqrt(n); A's explicit zeros are
+    kept, and only b's nonzeros are stored.  The oracle for the bordered
+    matrix that superlu_null_vector hands to SuperLU.
     """
     import scipy.sparse as sp
 
@@ -237,9 +250,9 @@ def steady_state_full_generator(params, settings=DEFAULT):
 
     The gauged generator conj(ph_r) L[r, c] ph_c on build_liouvillian's
     structure (gauge_entry_phase; its entries must come out exactly real),
-    bordered by vec(I), its exact left kernel, and solved by one
-    null_vector call; the oracle for the symmetric-block route that
-    steady_state_numeric takes above j = 5.
+    bordered by vec(I), its exact left kernel, and solved by SuperLU on
+    that structure (superlu_null_vector); the oracle for the
+    symmetric-block route that steady_state_numeric takes above j = 5.
     """
     d = params.j.dim
     ph = gauge_phase(d)
@@ -247,7 +260,7 @@ def steady_state_full_generator(params, settings=DEFAULT):
     gauged = gauge_entry_phase(G) * G.data
     assert not gauged.imag.any(), "gauged generator entries are not real"
     G.data = gauged.real
-    Y = null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
+    Y = superlu_null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
     rho = ph * (Y + Y.T) / (2.0 * np.trace(Y))
     return validate_density_matrix(rho, settings, "steady state (full generator)")
 
