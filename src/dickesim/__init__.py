@@ -1,6 +1,5 @@
 """Driven, collectively damped Dicke model: dynamics, steady states, entanglement."""
 
-from .settings import DEFAULT, NumericSettings
 from .errors import (
     BifurcationNotFoundError,
     CapacityError,
@@ -43,8 +42,6 @@ from .semiclassical import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT",
-    "NumericSettings",
     "DickeSimError",
     "ValidationError",
     "DegenerateKernelError",

@@ -26,8 +26,8 @@ from .analytic import steady_state_analytic
 from .dynamics import ModelParams, evolve, steady_state_numeric, steady_states_numeric
 from .entanglement import concurrence, pair_reduced_state, triplet_to_two_qubit
 from .errors import DickeSimError
+from .linalg import NULL_RTOL
 from .semiclassical import bifurcation_scan, stable_branch_summary
-from .settings import DEFAULT
 from .spin_ops import SpinQuantum, build_jz, dicke_projector
 
 
@@ -200,7 +200,8 @@ GLOBAL_OPTIONS = [
     ("format", _one_of("csv", "json"), "csv", "output format: csv or json"),
     ("jobs", _count_to(JOBS_LIMIT), 1, "worker processes for scan rows"),
     ("config", str, None, "key = value config file (flags win over it)"),
-    ("tolerance", _positive, None, "override the working numeric tolerance"),
+    ("tolerance", _positive, NULL_RTOL,
+     "null-space residual bound of the steady solves (steady, fig1)"),
     ("gnuplot", _boolean, False, "also write a gnuplot script next to the CSV"),
 ]
 
@@ -325,8 +326,6 @@ def _parse(argv):
             raise UsageError(f"subcommand {sub!r} requires --output")
         if options["gnuplot"] and options["format"] != "csv":
             raise UsageError("--gnuplot requires --format csv")
-    tol = options.pop("tolerance")
-    options["settings"] = DEFAULT if tol is None else DEFAULT.with_working_tolerance(tol)
     return sub, options
 
 
@@ -363,8 +362,8 @@ def _write_rows(options, sub, rows):
             fh.write(script)
 
 
-def _map_blocks(worker, groups, settings, jobs):
-    """Rows from worker((*column blocks, settings)) over contiguous row blocks.
+def _map_blocks(worker, groups, jobs):
+    """Rows from worker(column blocks) over contiguous row blocks.
 
     groups holds one (d, columns) pair per run of rows of d x d states;
     each is cut into blocks (see BLOCK_ROWS), at least jobs of them when
@@ -376,7 +375,7 @@ def _map_blocks(worker, groups, settings, jobs):
         count = len(columns[0])
         size = max(1, min(9 * BLOCK_ROWS // (d * d), -(-count // jobs)))
         tasks += [
-            tuple(c[start:start + size] for c in columns) + (settings,)
+            tuple(c[start:start + size] for c in columns)
             for start in range(0, count, size)
         ]
     workers = min(jobs, len(tasks))
@@ -393,25 +392,25 @@ def _map_blocks(worker, groups, settings, jobs):
 
 # ---------------------------------------------------------------- workers
 
-def _fig1_block(task):
-    gammas, nbars, settings = task
-    rho = steady_states_numeric(SpinQuantum(2), 1.0, gammas, nbars, settings)
-    values = concurrence(triplet_to_two_qubit(rho, settings), settings)
+def _fig1_block(task, null_rtol):
+    gammas, nbars = task
+    rho = steady_states_numeric(SpinQuantum(2), 1.0, gammas, nbars, null_rtol=null_rtol)
+    values = concurrence(triplet_to_two_qubit(rho))
     return list(zip(gammas.tolist(), nbars.tolist(), values.tolist()))
 
 
 def _fig2_block(task):
-    gammas, settings = task
+    (gammas,) = task
     rho = steady_state_analytic(SpinQuantum(2), gammas)
-    values = concurrence(triplet_to_two_qubit(rho, settings), settings)
+    values = concurrence(triplet_to_two_qubit(rho))
     return list(zip(gammas.tolist(), (1.0 / gammas).tolist(), values.tolist()))
 
 
 def _fig3_block(task):
-    js, omega_rs, settings = task
+    js, omega_rs = task
     spin = SpinQuantum.from_j(js[0])
     rho = steady_state_analytic(spin, 1.0 / (spin.j * omega_rs))
-    values = concurrence(pair_reduced_state(rho, spin, settings), settings)
+    values = concurrence(pair_reduced_state(rho, spin))
     return list(zip(js.tolist(), omega_rs.tolist(), values.tolist()))
 
 
@@ -419,7 +418,6 @@ def _fig3_block(task):
 
 def _cmd_steady(options):
     """Stationary state for one parameter set."""
-    settings = options["settings"]
     spin, method = options["j"], options["method"]
 
     if options["gamma"] is not None:
@@ -439,15 +437,15 @@ def _cmd_steady(options):
         rho = steady_state_analytic(spin, gamma_a / omega)
     else:
         params = ModelParams(j=spin, omega=omega, gamma_a=gamma_a, nbar=options["nbar"])
-        rho = steady_state_numeric(params, settings)
+        rho = steady_state_numeric(params, null_rtol=options["tolerance"])
 
     label = value = None
     if spin.two_j == 2:
         label = "concurrence"
-        value = concurrence(triplet_to_two_qubit(rho, settings), settings)
+        value = concurrence(triplet_to_two_qubit(rho))
     elif spin.two_j > 2:
         label = "pair_concurrence"
-        value = concurrence(pair_reduced_state(rho, spin, settings), settings)
+        value = concurrence(pair_reduced_state(rho, spin))
 
     if options["format"] == "json":
         payload = {
@@ -489,18 +487,17 @@ def _cmd_steady(options):
 
 def _cmd_evolve(options):
     """Master-equation trajectory to CSV/JSON."""
-    settings = options["settings"]
     spin = options["j"]
     params = ModelParams(
         j=spin, omega=options["omega"], gamma_a=options["gamma_a"], nbar=options["nbar"]
     )
     rho0 = dicke_projector(spin, spin.j if options["initial"] == "excited" else -spin.j)
     times = np.linspace(0.0, options["t_max"], options["steps"] + 1)
-    trajectory = evolve(rho0, params, times, settings)
+    trajectory = evolve(rho0, params, times)
     states = trajectory.states
     jz_expect = np.einsum("tij,ji->t", states, build_jz(spin)).real
     if spin.two_j == 2:
-        c = concurrence(triplet_to_two_qubit(states, settings), settings).tolist()
+        c = concurrence(triplet_to_two_qubit(states)).tolist()
     else:
         c = [None] * len(states)
     rows = zip(
@@ -516,7 +513,8 @@ def _cmd_fig1(options):
     gammas, nbars = options["gamma_grid"], options["nbar_grid"]
     _require_count(len(gammas) * len(nbars), SCAN_ROW_LIMIT, "fig1 row count")
     columns = (np.repeat(gammas, len(nbars)), np.tile(nbars, len(gammas)))
-    rows = _map_blocks(_fig1_block, [(3, columns)], options["settings"], options["jobs"])
+    worker = functools.partial(_fig1_block, null_rtol=options["tolerance"])
+    rows = _map_blocks(worker, [(3, columns)], options["jobs"])
     _write_rows(options, "fig1", rows)
     return 0
 
@@ -524,7 +522,7 @@ def _cmd_fig1(options):
 def _cmd_fig2(options):
     """Zero-temperature two-ion concurrence vs gamma (the analytic state at j = 1)."""
     gammas = options["gamma_grid"]
-    rows = _map_blocks(_fig2_block, [(3, (gammas,))], options["settings"], options["jobs"])
+    rows = _map_blocks(_fig2_block, [(3, (gammas,))], options["jobs"])
     _write_rows(options, "fig2", rows)
     return 0
 
@@ -540,7 +538,7 @@ def _cmd_fig3(options):
         "fig3's estimated seconds on one core (rows x worst-drive row seconds at each j)",
     )
     groups = [(s.dim, (np.full(len(omega_rs), s.j), omega_rs)) for s in spins]
-    rows = _map_blocks(_fig3_block, groups, options["settings"], options["jobs"])
+    rows = _map_blocks(_fig3_block, groups, options["jobs"])
     _write_rows(options, "fig3", rows)
     return 0
 
@@ -549,7 +547,7 @@ def _cmd_semiclassical(options):
     """Mean-field branch data and the critical drive."""
     omega_rs = options["omega_r_grid"]
     sz, rate = stable_branch_summary(omega_rs)
-    critical = bifurcation_scan(omega_rs, options["settings"])  # raises if grid misses it
+    critical = bifurcation_scan(omega_rs)  # raises if grid misses it
     _write_rows(options, "semiclassical", zip(omega_rs.tolist(), sz.tolist(), rate.tolist()))
     sys.stdout.write(f"critical omega_r = {critical:.6f}\n")
     return 0

@@ -29,8 +29,12 @@ a time above, where the block's trace-bordered CSC structure is built
 once per spin, _bordered_block, and each point fills only its data);
 steady_state_numeric solves one point, up to j = 5 on the full d^2
 gauged generator made dense (null_vector takes dense input only).
-scipy is imported only by evolve (scipy.linalg, for expm),
-build_liouvillian and the steady states (scipy.sparse).
+Every state passes one check, check_states, against three fixed limits
+(HERMITICITY_TOL, TRACE_TOL, DENSITY_EIG_FLOOR); the steady states take
+null_rtol, the kernel residual bound and the one tolerance a caller
+sets, and hand it to linalg.  scipy is imported only by evolve
+(scipy.linalg, for expm), build_liouvillian and the steady states
+(scipy.sparse).
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapacityError, ValidationError
-from .linalg import null_vector
-from .settings import DEFAULT, NumericSettings
+from .linalg import NULL_RTOL, null_vector
 from .spin_ops import SpinQuantum, ladder_coefficients
 
 # evolve's two real propagators have d(d+1)/2 and d(d-1)/2 rows, so their
@@ -65,6 +68,11 @@ EXPM_WORK_LIMIT = 1e10
 STATE_ENTRY_LIMIT = 2 ** 22
 # validate_density_matrix checks stacks this many entries at a time (1 MB complex)
 CHECK_CHUNK_ENTRIES = 2 ** 16
+# check_states' limits; double precision leaves each at least two orders
+# of magnitude of headroom
+HERMITICITY_TOL = 1e-10     # max entrywise |rho - rho^dag|
+TRACE_TOL = 1e-10           # max |tr(rho) - 1|
+DENSITY_EIG_FLOOR = -1e-9   # most negative eigenvalue of (rho + rho^dag) / 2
 
 
 @dataclass(frozen=True)
@@ -122,12 +130,12 @@ class Trajectory:
             raise ValidationError("times and states lengths differ")
 
 
-def check_states(states, settings: NumericSettings, label, spectrum=np.linalg.eigvalsh):
+def check_states(states, label, spectrum=np.linalg.eigvalsh):
     """The three state invariants on a (k, d, d) stack, the one state check.
 
-    Hermitian within hermiticity_tol, unit trace within trace_tol, and
+    Hermitian within HERMITICITY_TOL, unit trace within TRACE_TOL, and
     smallest eigenvalue of the hermitized state H = (rho + rho^dag) / 2
-    above density_eig_floor.  Returns spectrum(H) of the states: spectrum
+    above DENSITY_EIG_FLOOR.  Returns spectrum(H) of the states: spectrum
     maps them to their ascending eigenvalues, or to a tuple that starts
     with them (as np.linalg.eigh does).  The first failing state, named
     label(k), raises a ValidationError naming the violated check:
@@ -137,12 +145,12 @@ def check_states(states, settings: NumericSettings, label, spectrum=np.linalg.ei
     with np.errstate(invalid="ignore"):  # inf - inf: reported as non-finite below
         defect = np.abs(states - adjoint).max(axis=(1, 2))
     trace_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
-    passed = (defect <= settings.hermiticity_tol) & (trace_err <= settings.trace_tol)
+    passed = (defect <= HERMITICITY_TOL) & (trace_err <= TRACE_TOL)
     first_bad = len(states) if passed.all() else int(np.argmin(passed))
     out = spectrum(0.5 * (states[:first_bad] + adjoint[:first_bad]))
     lowest = (out[0] if isinstance(out, tuple) else out)[:, 0]
-    if first_bad and lowest.min() < settings.density_eig_floor:
-        k = int(np.argmax(lowest < settings.density_eig_floor))
+    if first_bad and lowest.min() < DENSITY_EIG_FLOOR:
+        k = int(np.argmax(lowest < DENSITY_EIG_FLOOR))
         raise ValidationError(
             f"{label(k)} not positive semidefinite: min eigenvalue {lowest[k]:.3e}"
         )
@@ -150,10 +158,10 @@ def check_states(states, settings: NumericSettings, label, spectrum=np.linalg.ei
         bad, name = states[first_bad], label(first_bad)
         if not np.all(np.isfinite(bad)):
             raise ValidationError(f"{name} contains non-finite entries")
-        if defect[first_bad] > settings.hermiticity_tol:
+        if defect[first_bad] > HERMITICITY_TOL:
             raise ValidationError(
                 f"{name} is not Hermitian: max |A - A^dag| = {defect[first_bad]:.3e} "
-                f"> {settings.hermiticity_tol:.1e}"
+                f"> {HERMITICITY_TOL:.1e}"
             )
         raise ValidationError(f"{name} trace deviates from 1: tr = {complex(np.trace(bad))!r}")
     return out
@@ -172,7 +180,7 @@ def stack_labels(name, shape):
     return lambda k: f"{name}[{', '.join(str(i) for i in np.unravel_index(k, shape))}]"
 
 
-def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"):
+def validate_density_matrix(rho, name="rho"):
     """Check the three state invariants (check_states), returning the validated array.
 
     rho may be one (d, d) state, checked as a stack of one and named
@@ -191,7 +199,7 @@ def validate_density_matrix(rho, settings: NumericSettings = DEFAULT, name="rho"
     label = stack_labels(name, rho.shape[:-2])
     size = max(1, CHECK_CHUNK_ENTRIES // (d * d))
     for start in range(0, len(states), size):
-        check_states(states[start:start + size], settings, lambda k: label(start + k))
+        check_states(states[start:start + size], lambda k: label(start + k))
     return rho
 
 
@@ -369,7 +377,7 @@ def _step_runs(steps, slack):
     return runs
 
 
-def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAULT) -> Trajectory:
+def evolve(rho0, params: ModelParams, t_grid) -> Trajectory:
     """Propagate the master equation exactly over t_grid.
 
     Works in the real gauge rho = ph * (S + i K), ph[a, b] = i^(b - a),
@@ -407,7 +415,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
     d = p.j.dim
     if d > DENSE_DIM_LIMIT:
         raise CapacityError(f"dimension {d} exceeds evolve's limit {DENSE_DIM_LIMIT} (j <= 16)")
-    rho0 = validate_density_matrix(rho0, settings, "rho0")
+    rho0 = validate_density_matrix(rho0, "rho0")
     if rho0.shape != (d, d):
         raise ValidationError(f"rho0 shape {rho0.shape} does not match j = {p.j.j} (dim {d})")
     n_times = len(t_grid)
@@ -446,7 +454,7 @@ def evolve(rho0, params: ModelParams, t_grid, settings: NumericSettings = DEFAUL
         part[(slice(None), *triangle)] = x
         part[(slice(None), *triangle[::-1])] = sign * x
     states *= ph
-    validate_density_matrix(states, settings, lambda k: f"state at t={t_grid[k]:g}")
+    validate_density_matrix(states, lambda k: f"state at t={t_grid[k]:g}")
     return Trajectory(times=t_grid, states=states)
 
 
@@ -467,7 +475,12 @@ def _symmetric_rho(x, triangle, ph):
     return ph * (S / np.trace(S, axis1=-2, axis2=-1)[..., None, None])
 
 
-def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAULT) -> np.ndarray:
+def _steady_label(omega, gamma_a, nbar):
+    """label(k), naming point k of a steady-state grid by its rates in errors."""
+    return lambda k: f"steady state at omega={omega[k]:g}, gamma_a={gamma_a[k]:g}, nbar={nbar[k]:g}"
+
+
+def steady_state_numeric(params: ModelParams, *, null_rtol=NULL_RTOL) -> np.ndarray:
     """Steady state as the one-dimensional null space of the generator.
 
     Valid whenever the stationary state is unique, which for this model
@@ -484,22 +497,27 @@ def steady_state_numeric(params: ModelParams, settings: NumericSettings = DEFAUL
     self-test pins this route's one build_liouvillian call and its
     d^2-unknown null_vector at j = 2; the symmetric block can take these
     spins too once that pin is restated.  Raises CapacityError above
-    STEADY_DIM_LIMIT.
+    STEADY_DIM_LIMIT.  null_rtol bounds the kernel's residual
+    (linalg.null_vector), and a failing kernel or state is named by its
+    parameters on both routes.
     """
+    null_rtol = linalg._check_null_rtol(null_rtol)
     p = params
     d = p.j.dim
     if d * d > linalg._DENSE_LU_MAX:
-        return steady_states_numeric(p.j, [p.omega], [p.gamma_a], [p.nbar], settings)[0]
+        return steady_states_numeric(p.j, [p.omega], [p.gamma_a], [p.nbar], null_rtol=null_rtol)[0]
     _require_unique_steady(p.omega, p.gamma_a, p.nbar)
     G = build_liouvillian(p)
     G.data = _generator_values(_generator_pattern(p.j.two_j)[2], p.omega, p.gamma_a, p.nbar)
     # bordered by vec(I), d ones on the diagonal coordinates
-    Y = null_vector(G.toarray(), np.eye(d).ravel(), settings).reshape(d, d, order="F")
+    label = _steady_label([p.omega], [p.gamma_a], [p.nbar])
+    Y = null_vector(G.toarray(), np.eye(d).ravel(), label=label, null_rtol=null_rtol)
+    Y = Y.reshape(d, d, order="F")
     rho = _gauge(p.j.two_j) * ((Y + Y.T) / (2.0 * np.trace(Y)))
-    return validate_density_matrix(rho, settings, "steady state")
+    return validate_density_matrix(rho, label)
 
 
-def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings = DEFAULT) -> np.ndarray:
+def steady_states_numeric(spin, omega, gamma_a, nbar, *, null_rtol=NULL_RTOL) -> np.ndarray:
     """Steady states of one spin on a parameter grid, as a (k, d, d) stack.
 
     omega, gamma_a and nbar broadcast to one 1-D grid of k points, each
@@ -523,8 +541,10 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
     _bordered_block caches per spin (linalg._sparse_null_vector).
     rho = ph * S / tr(S) is Hermitian by construction, and one
     validate_density_matrix call checks the stack; a failing state or
-    kernel is named by its parameters on both routes.
+    kernel is named by its parameters on both routes.  null_rtol bounds
+    each kernel's residual (linalg.null_vector).
     """
+    null_rtol = linalg._check_null_rtol(null_rtol)
     s = SpinQuantum.from_j(spin)
     rates = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (omega, gamma_a, nbar)))
     for name, v in zip(("omega", "gamma_a", "nbar"), rates):
@@ -544,17 +564,15 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, settings: NumericSettings 
     n = len(indptr) - 1
     trace = (triangle[0] == triangle[1]).astype(float)
 
-    def label(k):
-        return f"steady state at omega={omega[k]:g}, gamma_a={gamma_a[k]:g}, nbar={nbar[k]:g}"
-
+    label = _steady_label(omega, gamma_a, nbar)
     if n <= linalg._DENSE_LU_MAX:
         G = np.zeros((len(omega), n, n))
         G[:, indices, cols] = _generator_values(units, omega[:, None], gamma_a[:, None], nbar[:, None])
-        x = null_vector(G, trace, settings, label)
+        x = null_vector(G, trace, label=label, null_rtol=null_rtol)
     else:
         pattern = _bordered_block(s.two_j)
         x = np.empty((len(omega), n))
         for k in range(len(omega)):
             values = _generator_values(units, omega[k], gamma_a[k], nbar[k])
-            x[k] = linalg._sparse_null_vector(pattern, values, trace, settings, lambda _: label(k))
-    return validate_density_matrix(_symmetric_rho(x, triangle, _gauge(s.two_j)), settings, label)
+            x[k] = linalg._sparse_null_vector(pattern, values, trace, null_rtol, lambda _: label(k))
+    return validate_density_matrix(_symmetric_rho(x, triangle, _gauge(s.two_j)), label)

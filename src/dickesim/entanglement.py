@@ -9,7 +9,8 @@ reduction reads six collective moments from the main diagonal and the
 first two subdiagonals, so it costs O(d) a state beyond validating its
 input.  Its independent oracle, the brute-force 2^N embedding (N <= 8),
 lives in the tests.  Every state they check goes through the one stacked
-state check of dynamics (check_states), a single state as a stack of one.
+state check of dynamics (check_states, with its fixed limits), a single
+state as a stack of one; none of the three takes a tolerance.
 
 Two-qubit basis order is (|ee>, |eg>, |ge>, |gg>) with |e> first in each
 factor.
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .dynamics import check_states, stack_labels, validate_density_matrix
-from .settings import DEFAULT, NumericSettings
 from .spin_ops import SpinQuantum, ladder_coefficients, m_values
 
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -33,7 +33,7 @@ _ISO[1, 1] = _ISO[2, 1] = 1.0 / np.sqrt(2.0)
 _ISO[3, 2] = 1.0
 
 
-def concurrence(rho, settings: NumericSettings = DEFAULT):
+def concurrence(rho):
     """Wootters concurrence C(rho) of a two-qubit state, or of a stack of them.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots
@@ -53,15 +53,14 @@ def concurrence(rho, settings: NumericSettings = DEFAULT):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValidationError(f"rho must be 4x4 or a stack of 4x4 states, got {rho.shape}")
-    w, v = check_states(rho.reshape(-1, 4, 4), settings,
-                        stack_labels("rho", rho.shape[:-2]), np.linalg.eigh)
+    w, v = check_states(rho.reshape(-1, 4, 4), stack_labels("rho", rho.shape[:-2]), np.linalg.eigh)
     x = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     lam = np.linalg.svd(x.swapaxes(1, 2) @ _YY @ x, compute_uv=False)
     c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
     return float(c[0]) if rho.ndim == 2 else c.reshape(rho.shape[:-2])
 
 
-def triplet_to_two_qubit(rho3, settings: NumericSettings = DEFAULT) -> np.ndarray:
+def triplet_to_two_qubit(rho3) -> np.ndarray:
     """Embed a spin-1 state, or a (..., 3, 3) stack of them, into two qubits.
 
     Through the triplet sector, by the isometry top level -> |ee>,
@@ -71,11 +70,11 @@ def triplet_to_two_qubit(rho3, settings: NumericSettings = DEFAULT) -> np.ndarra
     rho3 = np.asarray(rho3, dtype=complex)
     if rho3.ndim < 2 or rho3.shape[-2:] != (3, 3):
         raise ValidationError(f"spin-1 state must be 3x3, got {rho3.shape}")
-    validate_density_matrix(rho3, settings, "rho3")
+    validate_density_matrix(rho3, "rho3")
     return _ISO @ rho3 @ _ISO.T
 
 
-def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.ndarray:
+def pair_reduced_state(rho, spin) -> np.ndarray:
     """Two-qubit reduced state of a symmetric N-qubit state, N = 2j.
 
     Works entirely from collective moments (Wang and Molmer, Eur. Phys.
@@ -96,7 +95,7 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
     s = SpinQuantum.from_j(spin)
     if s.two_j < 2:
         raise ValidationError(f"pair reduction needs j >= 1, got j = {s.j}")
-    rho = validate_density_matrix(rho, settings, "rho")
+    rho = validate_density_matrix(rho, "rho")
     if rho.shape[-1] != s.dim:
         raise ValidationError(f"state dimension {rho.shape[-1]} does not match j = {s.j}")
 
@@ -131,4 +130,4 @@ def pair_reduced_state(rho, spin, settings: NumericSettings = DEFAULT) -> np.nda
         [np.conj(a), pm, mid, b],
         [pp, np.conj(b), np.conj(b), (1.0 - 2.0 * one_z + zz) / 4.0],
     ], dtype=complex), (0, 1), (-2, -1))
-    return validate_density_matrix(out, settings, "pair-reduced state")
+    return validate_density_matrix(out, "pair-reduced state")

@@ -15,15 +15,18 @@ matrix is one CSC structure (_border_pattern) and a data array that
 one scatter fills, so a caller that solves many matrices of one
 structure, as the steady states do on a parameter grid, builds that
 structure once and hands over each matrix's entries.  scipy is
-imported only on that route.
+imported only on that route.  A solve is accepted (_accepted) under a
+fixed bound on its conditioning, NULL_GAP_RTOL, and null_rtol on its
+residual, the one tolerance a caller sets (default NULL_RTOL).
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DegenerateKernelError, ValidationError
-from .settings import DEFAULT, NumericSettings
 
 # bordered systems with at most this many unknowns are inverted dense
 # (j <= 5 on the full generator, j <= 7 on its symmetric block).  Measured
@@ -200,37 +203,51 @@ def _scaled_borders(fnorm, border, dtype, item):
     return scale[:, None] * border.astype(dtype)
 
 
-def _accepted(x, kappa, residual, fnorm, kind, settings, item):
+# the default bound on ||A x|| / (||A||_F ||x||) that a null vector must reach
+NULL_RTOL = 1e-9
+# 1 / kappa_1 of the bordered matrix below this means a degenerate kernel;
+# kappa_1 is exact on the dense route, estimated on SuperLU's
+NULL_GAP_RTOL = 1e-8
+
+
+def _check_null_rtol(null_rtol):
+    """null_rtol as a float once it is a finite real number > 0; else ValidationError."""
+    if not (isinstance(null_rtol, numbers.Real) and 0 < null_rtol < np.inf):
+        raise ValidationError(f"null_rtol must be a finite number > 0, got {null_rtol!r}")
+    return float(null_rtol)
+
+
+def _accepted(x, kappa, residual, fnorm, kind, null_rtol, item):
     """The (k, n) rows of x at unit norm once each passes null_vector's two checks."""
-    unique = kappa * settings.null_gap_rtol <= 1.0
+    unique = kappa * NULL_GAP_RTOL <= 1.0
     xnorm = np.linalg.norm(x, axis=1)
-    null = residual <= settings.null_rtol * fnorm * xnorm
+    null = residual <= null_rtol * fnorm * xnorm
     failed = np.flatnonzero(~(unique & null))
     if failed.size:
         i = failed[0]
         if not unique[i]:
             raise DegenerateKernelError(
                 f"{item(i)}null space not one-dimensional: {kind} {kappa[i]:.3e} of the "
-                f"bordered matrix exceeds 1 / null_gap_rtol = {1.0 / settings.null_gap_rtol:.1e}"
+                f"bordered matrix exceeds 1 / null_gap_rtol = {1.0 / NULL_GAP_RTOL:.1e}"
             )
         raise DegenerateKernelError(
             f"{item(i)}no null vector at working precision: ||A x|| / (||A||_F ||x||) = "
             f"{residual[i] / (fnorm[i] * xnorm[i]):.3e} > null_rtol = "
-            f"{settings.null_rtol:.1e}, so none of the singular values of A is "
+            f"{null_rtol:.1e}, so none of the singular values of A is "
             "numerically zero"
         )
     return x / xnorm[:, None]
 
 
-def _sparse_null_vector(pattern, values, border, settings, label):
+def _sparse_null_vector(pattern, values, border, null_rtol, label):
     """null_vector above _DENSE_LU_MAX unknowns, of the A whose entries on pattern are values.
 
     pattern is _border_pattern(indptr, indices, flatnonzero(border)) of
-    A's canonical CSC structure, and values are finite; a caller that
-    solves many matrices of one structure builds it once.  The bordered
-    matrix is factored once by SuperLU (_bordered_solve); the scaled
-    border, both checks and the errors, named by label, are
-    null_vector's.
+    A's canonical CSC structure, values are finite and null_rtol has
+    passed _check_null_rtol; a caller that solves many matrices of one
+    structure builds the pattern once.  The bordered matrix is factored
+    once by SuperLU (_bordered_solve); the scaled border, both checks
+    and the errors, named by label, are null_vector's.
     """
     item = _namer(label, False)
     dtype = np.result_type(values.dtype, border.dtype, float)
@@ -238,10 +255,10 @@ def _sparse_null_vector(pattern, values, border, settings, label):
     borders = _scaled_borders(fnorm, border, dtype, item)
     x, kappa, residual = _bordered_solve(pattern, values.astype(dtype, copy=False), borders[0], item)
     return _accepted(x[None], np.array([kappa]), np.array([residual]), fnorm,
-                     "condition estimate", settings, item)[0]
+                     "condition estimate", null_rtol, item)[0]
 
 
-def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
+def null_vector(A, border, *, label=None, null_rtol=NULL_RTOL):
     """Unit-norm vector spanning a one-dimensional null space of A.
 
     A is a dense (n, n) array, real or complex, or a (k, n, n) stack,
@@ -264,13 +281,15 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
     raise DegenerateKernelError, naming the item i that fails as
     label(i) when given, else as "item i" in a stack:
 
-    * uniqueness: 1 / kappa_1(M) must reach ``null_gap_rtol``; kappa_1
-      is exact here and a Hager-Higham lower bound on SuperLU's route;
-    * existence: ``||A x|| <= null_rtol * ||A||_F * ||x||``.
+    * uniqueness: 1 / kappa_1(M) must reach NULL_GAP_RTOL; kappa_1 is
+      exact here and a Hager-Higham lower bound on SuperLU's route;
+    * existence: ``||A x|| <= null_rtol * ||A||_F * ||x||``, null_rtol
+      finite and > 0 (else ValidationError, before any solve).
 
     A border (nearly) orthogonal to the kernel or the left kernel fails
     the first check although the kernel may be simple.
     """
+    null_rtol = _check_null_rtol(null_rtol)
     A = np.asarray(A)
     if A.ndim not in (2, 3) or A.shape[-2] != A.shape[-1] or not 1 <= A.shape[-1] <= _DENSE_LU_MAX:
         raise ValidationError(
@@ -291,5 +310,5 @@ def null_vector(A, border, settings: NumericSettings = DEFAULT, label=None):
     item = _namer(label, stack)
     x, kappa = _bordered_inverse(A, _scaled_borders(fnorm, border, dtype, item), item)
     residual = np.linalg.norm((A @ x[:, :, None])[:, :, 0], axis=1)
-    x = _accepted(x, kappa, residual, fnorm, "condition number", settings, item)
+    x = _accepted(x, kappa, residual, fnorm, "condition number", null_rtol, item)
     return x if stack else x[0]

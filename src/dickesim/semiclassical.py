@@ -43,12 +43,12 @@ fixed points, one attracting) to elliptic (rotation about two centres).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BifurcationNotFoundError, ValidationError
-from .settings import DEFAULT, NumericSettings
 
 # any |eigenvalue| below this is treated as the structural zero mode
 _ZERO_MODE_TOL = 1e-9
@@ -60,6 +60,8 @@ _STABILITY_MARGIN = 1e-12
 # and the paper grid's 16 levels take 3.7 ms at one level a pass, 2.1 ms
 # at 3, 1.75-1.83 ms at 4 to 6 and 2.0 ms at 7
 _TREE_DEPTH = 5
+# bifurcation_scan's default bracket width for the critical drive
+BIFURCATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -205,15 +207,15 @@ def stable_branch_summary(omega_r):
     return _branch_summary(drives)
 
 
-def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float:
+def bifurcation_scan(omega_r_grid, tol=BIFURCATION_TOL) -> float:
     """Critical scaled drive where the attracting equilibrium disappears.
 
     Evaluates the whole grid in one pass, takes the first pair of
     adjacent points that bracket the loss of attraction, then bisects
-    the bracket down to ``settings.bifurcation_tol`` (>= 0), or to
-    adjacent doubles when that is finer, _TREE_DEPTH levels a pass (16
-    levels in 4 passes on the paper grid).  Raises
-    BifurcationNotFoundError when the whole grid sits on one side.
+    the bracket down to width tol, or to adjacent doubles when that is
+    finer (tol = 0), _TREE_DEPTH levels a pass (16 levels in 4 passes on
+    the paper grid).  tol must be finite and >= 0, else ValidationError.
+    Raises BifurcationNotFoundError when the whole grid sits on one side.
     """
     grid = np.asarray(omega_r_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -222,9 +224,8 @@ def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float
         raise ValidationError("omega_r grid must be finite and >= 0")
     if not np.all(np.diff(grid) > 0):
         raise ValidationError("omega_r grid must be strictly ascending")
-    tol = settings.bifurcation_tol
-    if not tol >= 0:
-        raise ValidationError(f"bifurcation_tol must be >= 0, got {tol!r}")
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
 
     sides = _branch_summary(grid)[1] < -_STABILITY_MARGIN
     edges = np.flatnonzero(sides[:-1] & ~sides[1:])
@@ -234,7 +235,7 @@ def bifurcation_scan(omega_r_grid, settings: NumericSettings = DEFAULT) -> float
             f"no loss of attraction inside grid [{grid[0]:g}, {grid[-1]:g}] "
             f"(entire grid {side} the transition)"
         )
-    return _bisect(grid[edges[0]], grid[edges[0] + 1], tol)
+    return _bisect(grid[edges[0]], grid[edges[0] + 1], float(tol))
 
 
 def _bisect(lo, hi, tol):

@@ -135,6 +135,28 @@ def test_steady_tolerance_flag_accepted(tmp_path):
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
 
 
+_TOLERANCE_RUNS = [  # full generator (j <= 5), SuperLU on the block, fig1's dense stack
+    ["steady", "--j", "2", "--omega", "1", "--gamma-a", "0.2", "--nbar", "0.3"],
+    ["steady", "--j", "8", "--omega", "1", "--gamma-a", "0.2", "--nbar", "0.3"],
+    ["fig1", "--gamma-grid", "log:0.1:10:5", "--nbar-grid", "0:1:2"],
+]
+
+
+@pytest.mark.parametrize("args", _TOLERANCE_RUNS, ids=["steady-j2", "steady-j8", "fig1"])
+def test_tolerance_reaches_the_steady_solver(tmp_path, capsys, args):
+    # a residual bound no double-precision solve meets fails the request
+    out = tmp_path / "never.txt"
+    assert run_cli(args + ["--tolerance", "1e-300", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "> null_rtol = 1.0e-300" in err
+    assert not out.exists()
+    # the default bound given explicitly changes no byte
+    plain, flagged = tmp_path / "plain.txt", tmp_path / "flagged.txt"
+    assert run_cli(args + ["--output", str(plain)]) == 0
+    assert run_cli(args + ["--tolerance", "1e-9", "--output", str(flagged)]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -243,7 +265,7 @@ def test_fig3_time_bound_admits(j_list, grid, tmp_path, monkeypatch):
 
 
 def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
-    def exhausted(params, settings):
+    def exhausted(params, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(cli, "steady_state_numeric", exhausted)
@@ -405,7 +427,7 @@ def fake_pool(monkeypatch):
 
 def test_row_blocks_are_bounded_and_spread_over_jobs(fake_pool):
     def sizes(count, jobs, d=3):  # each block comes back as one row
-        blocks = cli._map_blocks(lambda task: [task[0]], [(d, (np.arange(count),))], None, jobs)
+        blocks = cli._map_blocks(lambda task: [task[0]], [(d, (np.arange(count),))], jobs)
         assert np.array_equal(np.concatenate(blocks), np.arange(count))
         return [len(block) for block in blocks]
 
@@ -426,12 +448,12 @@ def test_process_pool_has_at_most_one_worker_per_task(fake_pool):
     def first(task):
         return [int(task[0][0])]
 
-    assert cli._map_blocks(first, [(3, (np.arange(2),))], None, 64) == [0, 1] and fake_pool == [2]
-    assert cli._map_blocks(first, [(3, (np.arange(3),))], None, 2) == [0, 2] and fake_pool == [2, 2]
+    assert cli._map_blocks(first, [(3, (np.arange(2),))], 64) == [0, 1] and fake_pool == [2]
+    assert cli._map_blocks(first, [(3, (np.arange(3),))], 2) == [0, 2] and fake_pool == [2, 2]
     # every group's blocks share one pool
     groups = [(3, (np.arange(3),)), (129, (np.arange(10, 12),))]
-    assert cli._map_blocks(first, groups, None, 8) == [0, 1, 2, 10, 11] and fake_pool == [2, 2, 5]
-    assert cli._map_blocks(first, [(3, (np.arange(1),))], None, 64) == [0]
+    assert cli._map_blocks(first, groups, 8) == [0, 1, 2, 10, 11] and fake_pool == [2, 2, 5]
+    assert cli._map_blocks(first, [(3, (np.arange(1),))], 64) == [0]
     assert fake_pool == [2, 2, 5]  # one task runs in process
 
 

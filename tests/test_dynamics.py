@@ -24,7 +24,6 @@ from dickesim import (
     validate_density_matrix,
 )
 from dickesim import dynamics, linalg
-from dickesim.settings import DEFAULT
 from util import (
     build_jplus,
     closed_form_j1,
@@ -418,16 +417,6 @@ def test_evolve_rejects_non_finite_grid_before_any_propagator(monkeypatch):
             evolve(dicke_projector(1, 1), p, grid)
 
 
-def test_evolve_tight_working_tolerance_returns():
-    # a tolerance below double-precision reach must not stall evolution
-    p = ModelParams(j=1, omega=1.0, gamma_a=1.0, nbar=0.5)
-    times = np.linspace(0.0, 10.0, 101)
-    traj = evolve(dicke_projector(1, 1), p, times, DEFAULT.with_working_tolerance(1e-14))
-    assert len(traj.states) == 101
-    exact = _propagator_states(dicke_projector(1, 1), p, times[-1:])[0]
-    assert np.abs(traj.states[-1] - exact).max() < 1e-12
-
-
 def test_evolve_peak_memory_stays_near_its_output():
     # the state check runs over chunks of states, so its temporaries do not
     # scale with the number of times; a whole-stack check peaks at 3.3x
@@ -536,7 +525,7 @@ def test_steady_near_pure_state_one_bordered_solve(monkeypatch):
 
     monkeypatch.setattr(linalg, "_bordered_solve", recording)
     steady_state_numeric(ModelParams(j=16, omega=1.0, gamma_a=0.0794))
-    assert len(kappas) == 1 and kappas[0] * DEFAULT.null_gap_rtol <= 1.0
+    assert len(kappas) == 1 and kappas[0] * linalg.NULL_GAP_RTOL <= 1.0
 
 
 @pytest.mark.parametrize("j", [1, 5, 5.5, 6.5, 7, 16])  # dense inverse and SuperLU
@@ -754,8 +743,8 @@ def test_steady_states_numeric_names_the_failing_point(monkeypatch):
     # a kernel vector that is no state: the stack check names its parameters
     real = dynamics.null_vector
 
-    def corrupted(G, border, settings, label):
-        x = real(G, border, settings, label)
+    def corrupted(G, border, **kwargs):
+        x = real(G, border, **kwargs)
         x[1] = [1.0, 0.0, 0.0, -0.5, 0.0, 0.5]  # diag(1, -0.5, 0.5) on the block
         return x
 
@@ -775,6 +764,22 @@ def test_single_steady_solve_names_its_point_not_a_stack_item():
     with pytest.raises(DegenerateKernelError, match="gamma_a=1e-07") as info:
         steady_state_numeric(ModelParams(j=6, omega=1.0, gamma_a=1e-7))
     assert not str(info.value).startswith("item 0")
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 5.5, 8])  # full generator, dense block, SuperLU
+def test_single_steady_solve_names_its_degenerate_point_on_every_route(j):
+    with pytest.raises(DegenerateKernelError,
+                       match=r"^steady state at omega=1, gamma_a=1e-13, nbar=0\.3: null space"):
+        steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=1e-13, nbar=0.3))
+
+
+def test_full_generator_route_names_a_failing_state_by_its_point(monkeypatch):
+    # a kernel vector that is no state, on the j <= 5 route: Y = diag(1, -0.5, 0.5)
+    monkeypatch.setattr(dynamics, "null_vector",
+                        lambda G, border, **kwargs: np.diag([1.0, -0.5, 0.5]).ravel())
+    with pytest.raises(ValidationError,
+                       match=r"^steady state at omega=1, gamma_a=0\.25, nbar=0\.5 not positive"):
+        steady_state_numeric(ModelParams(j=1, omega=1.0, gamma_a=0.25, nbar=0.5))
 
 
 def test_fig1_stack_is_one_inverse_of_the_symmetric_blocks(monkeypatch):

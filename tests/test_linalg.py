@@ -5,13 +5,15 @@ from hypothesis import given, settings as hsettings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dickesim import (
-    DEFAULT,
     DegenerateKernelError,
+    ModelParams,
     ValidationError,
     null_vector,
+    steady_state_numeric,
+    steady_states_numeric,
     validate_density_matrix,
 )
-from dickesim import linalg
+from dickesim import dynamics, linalg
 from util import bordered_bmat, null_vector_svd, random_unitary, superlu_null_vector
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -108,17 +110,46 @@ def test_null_vector_agrees_with_svd_oracle(m):
     left, right = u[:, -1], vh[-1].conj()
     x = null_vector(a, left + np.exp(-1j * np.angle(np.vdot(left, right))) * right)
     resid = np.linalg.norm(a @ x)
-    assert resid <= DEFAULT.null_rtol * np.linalg.norm(s)
+    assert resid <= linalg.NULL_RTOL * np.linalg.norm(s)
     # a residual r puts x within angle r / sigma_{n-1} of the kernel
     assert _phase_free_gap(x, expected) <= 2.0 * resid / s[-2] + 1e-12
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-def test_working_tolerance_must_be_finite_and_positive(tol):
-    # an infinite null_rtol would accept any vector as a null vector
-    with pytest.raises(ValueError):
-        DEFAULT.with_working_tolerance(tol)
-    assert DEFAULT.with_working_tolerance(1e-12).null_rtol == 1e-12
+def _null_rtol_entries(null_rtol):
+    """Each public entry that takes null_rtol, on both steady routes (j <= 5 and above)."""
+    # rank 2, and its computed null vector leaves a residual of ~1e-15
+    a = np.outer([1.0, 2.0, 3.0], [3.0, 1.0, -0.7]) + np.outer([0.3, -1.0, 2.0], [1.0, -2.0, 1.1])
+    return [
+        lambda: null_vector(a, np.ones(3), null_rtol=null_rtol),
+        lambda: steady_state_numeric(ModelParams(j=2, omega=1.0, gamma_a=0.2), null_rtol=null_rtol),
+        lambda: steady_state_numeric(ModelParams(j=8, omega=1.0, gamma_a=0.2), null_rtol=null_rtol),
+        lambda: steady_states_numeric(1, 1.0, [0.2, 0.5], 0.3, null_rtol=null_rtol),
+        lambda: steady_states_numeric(8, 1.0, [0.2, 0.5], 0.3, null_rtol=null_rtol),
+    ]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), float("-inf"), "1e-9", None])
+def test_working_tolerance_must_be_finite_and_positive(tol, monkeypatch):
+    # an infinite null_rtol would accept any vector as a null vector, and a
+    # NaN or negative one would fail every solve as "no null vector"; each
+    # entry rejects it before it builds or solves anything
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before null_rtol was checked")
+
+    for module, name in [(dynamics, "build_liouvillian"), (dynamics, "_gauged_block"),
+                         (linalg, "_bordered_inverse"), (linalg, "_bordered_solve")]:
+        monkeypatch.setattr(module, name, no_work)
+    for entry in _null_rtol_entries(tol):
+        with pytest.raises(ValidationError, match="^null_rtol must be a finite number > 0"):
+            entry()
+
+
+def test_null_rtol_bounds_the_residual_on_every_entry():
+    # a bound below any double-precision residual fails each solve by its
+    # existence check, which quotes the bound it was given
+    for entry in _null_rtol_entries(1e-300):
+        with pytest.raises(DegenerateKernelError, match=r"null_rtol = 1\.0e-300"):
+            entry()
 
 
 _SHAPE_ERROR = r"^matrix must be a square \(n, n\) array or a \(k, n, n\) stack"

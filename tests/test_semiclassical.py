@@ -1,6 +1,5 @@
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from dickesim import (
     stable_branch_summary,
 )
 from dickesim import semiclassical
-from dickesim.settings import DEFAULT
 from dickesim.semiclassical import _jacobian_kernel
 from util import (
     bifurcation_per_drive,
@@ -230,7 +228,7 @@ def test_fixed_point_reports_equal_per_drive_oracle():
     np.linspace(0.0, 5.0, 1001),
 ], ids=["paper", "narrow", "fine"])
 def test_bifurcation_scan_equals_per_drive_oracle(grid):
-    assert bifurcation_scan(grid) == bifurcation_per_drive(grid, DEFAULT.bifurcation_tol)
+    assert bifurcation_scan(grid) == bifurcation_per_drive(grid, semiclassical.BIFURCATION_TOL)
 
 
 @given(
@@ -245,7 +243,7 @@ def test_bifurcation_scan_equals_per_drive_oracle(grid):
 def test_bifurcation_scan_equals_per_drive_oracle_on_drawn_grids(lo, hi, count, exponent):
     grid = np.linspace(lo, hi, count)
     tol = 10.0 ** exponent
-    critical = bifurcation_scan(grid, replace(DEFAULT, bifurcation_tol=tol))
+    critical = bifurcation_scan(grid, tol=tol)
     assert critical == bifurcation_per_drive(grid, tol)
 
 
@@ -276,7 +274,7 @@ def test_bifurcation_scan_bisects_a_tree_per_pass(monkeypatch):
 def test_bifurcation_scan_below_float_spacing_ends_at_adjacent_doubles(monkeypatch, tol):
     grid = np.linspace(0.1, 2.0, 20)
     calls = _count_passes(monkeypatch)
-    critical = bifurcation_scan(grid, replace(DEFAULT, bifurcation_tol=tol))
+    critical = bifurcation_scan(grid, tol=tol)
     assert critical == 1.0
     monkeypatch.undo()
     assert critical == bifurcation_per_drive(grid, tol)
@@ -284,11 +282,11 @@ def test_bifurcation_scan_below_float_spacing_ends_at_adjacent_doubles(monkeypat
     assert len(calls) <= 1 + math.ceil(50 / semiclassical._TREE_DEPTH)
 
 
-@pytest.mark.parametrize("tol", [-1e-6, -np.inf, np.nan])
+@pytest.mark.parametrize("tol", [-1e-6, -np.inf, np.nan, np.inf, "1e-6"])
 def test_bifurcation_scan_rejects_bad_tolerance_before_any_pass(monkeypatch, tol):
     calls = _count_passes(monkeypatch)
-    with pytest.raises(ValidationError, match="bifurcation_tol"):
-        bifurcation_scan(np.linspace(0.1, 2.0, 20), replace(DEFAULT, bifurcation_tol=tol))
+    with pytest.raises(ValidationError, match="^tol must be a finite number >= 0"):
+        bifurcation_scan(np.linspace(0.1, 2.0, 20), tol=tol)
     assert calls == []
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import scipy.integrate
 
 from dickesim import (
-    DEFAULT,
     CapacityError,
     DegenerateKernelError,
     SpinQuantum,
@@ -158,12 +157,12 @@ def liouvillian_kron(params):
     return out
 
 
-def null_vector_svd(A, settings=DEFAULT):
+def null_vector_svd(A):
     """Oracle for null_vector through the full SVD of a dense matrix.
 
-    The smallest singular value must sit below null_rtol * ||A||_F and
-    the second smallest above null_gap_rtol * ||A||_F; otherwise
-    DegenerateKernelError.
+    The smallest singular value must sit below NULL_RTOL * ||A||_F and
+    the second smallest above NULL_GAP_RTOL * ||A||_F (linalg's
+    defaults); otherwise DegenerateKernelError.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.all(np.isfinite(A)):
@@ -176,12 +175,12 @@ def null_vector_svd(A, settings=DEFAULT):
             f"zero matrix of size {A.shape[0]}: null space has dimension {A.shape[0]}"
         )
     _, s, Vh = np.linalg.svd(A)
-    if s[-1] > settings.null_rtol * fnorm:
+    if s[-1] > linalg.NULL_RTOL * fnorm:
         raise DegenerateKernelError(
             f"no null vector at working precision: smallest singular values "
             f"({s[-2]:.3e}, {s[-1]:.3e}), ||A||_F = {fnorm:.3e}"
         )
-    if len(s) >= 2 and s[-2] < settings.null_gap_rtol * fnorm:
+    if len(s) >= 2 and s[-2] < linalg.NULL_GAP_RTOL * fnorm:
         raise DegenerateKernelError(
             f"null space not one-dimensional: smallest singular values "
             f"({s[-2]:.3e}, {s[-1]:.3e}), ||A||_F = {fnorm:.3e}"
@@ -189,7 +188,7 @@ def null_vector_svd(A, settings=DEFAULT):
     return Vh[-1].conj()
 
 
-def superlu_null_vector(A, border, settings=DEFAULT, label=None):
+def superlu_null_vector(A, border, label=None):
     """linalg._sparse_null_vector of a canonical CSC matrix A: the SuperLU route.
 
     Borders A's own structure (linalg._border_pattern), as the steady
@@ -199,7 +198,7 @@ def superlu_null_vector(A, border, settings=DEFAULT, label=None):
     assert A.format == "csc" and A.has_canonical_format, "A must be canonical CSC"
     border = np.asarray(border)
     pattern = linalg._border_pattern(A.indptr, A.indices, np.flatnonzero(border))
-    return linalg._sparse_null_vector(pattern, A.data, border, settings, label)
+    return linalg._sparse_null_vector(pattern, A.data, border, linalg.NULL_RTOL, label)
 
 
 def bordered_bmat(A, border):
@@ -245,7 +244,7 @@ def gauge_entry_phase(L):
     return flat.conj()[L.indices] * flat[np.repeat(np.arange(d * d), np.diff(L.indptr))]
 
 
-def steady_state_full_generator(params, settings=DEFAULT):
+def steady_state_full_generator(params):
     """Steady state from the whole real gauged generator, all d^2 unknowns.
 
     The gauged generator conj(ph_r) L[r, c] ph_c on build_liouvillian's
@@ -260,9 +259,9 @@ def steady_state_full_generator(params, settings=DEFAULT):
     gauged = gauge_entry_phase(G) * G.data
     assert not gauged.imag.any(), "gauged generator entries are not real"
     G.data = gauged.real
-    Y = superlu_null_vector(G, np.eye(d).ravel(), settings).reshape(d, d, order="F")
+    Y = superlu_null_vector(G, np.eye(d).ravel()).reshape(d, d, order="F")
     rho = ph * (Y + Y.T) / (2.0 * np.trace(Y))
-    return validate_density_matrix(rho, settings, "steady state (full generator)")
+    return validate_density_matrix(rho, "steady state (full generator)")
 
 
 def pair_reduced_brute_force(rho, spin):
