@@ -1,13 +1,13 @@
 """Command-line front end: steady states, trajectories, figure data.
 
-Six subcommands (steady, evolve, fig1, fig2, fig3, semiclassical) share
-the global flags --output, --format, --jobs, --config, --tolerance and
---gnuplot.  One argparse parser reads them (flags > --config file >
-defaults); each option's converter is the one check on its value, from
-a flag or a config file alike.  fig1, fig2 and fig3 solve stacked row
-blocks spread over --jobs.  Scan output is CSV (or a JSON mirror) with
-frozen headers and shortest-round-trip float formatting, so identical
-invocations produce byte-identical files, independent of --jobs.
+Six subcommands (steady, evolve, fig1, fig2, fig3, semiclassical), each
+offered only the options that act on it (SUBCOMMANDS).  One argparse
+parse reads a request; a --config file's lines are read as flags placed
+before the command line's own, and each option's converter is the one
+check on its value.  fig1, fig2 and fig3 solve stacked row blocks spread
+over --jobs.  Scan output is CSV (or a JSON mirror) with frozen headers
+and shortest-round-trip float formatting, so identical invocations
+produce byte-identical files, independent of --jobs.
 
 Exit codes: 0 success, 1 computational or I/O failure, 2 usage error.
 """
@@ -153,7 +153,8 @@ def _pair_spins(text):
 def parse_grid(spec):
     """start:stop:count (linear) or log:start:stop:count (logarithmic).
 
-    The endpoints are finite and count is at most SCAN_ROW_LIMIT.
+    The endpoints are finite, count is at most SCAN_ROW_LIMIT, and a
+    one-point grid needs start == stop.
     """
     parts = str(spec).split(":")
     log = parts[0] == "log"
@@ -170,6 +171,8 @@ def parse_grid(spec):
         raise UsageError(f"log grid endpoints must be positive, got {spec!r}")
     if count < 1:
         raise UsageError(f"grid count must be >= 1, got {spec!r}")
+    if count == 1 and start != stop:
+        raise UsageError(f"a one-point grid needs start == stop, got {spec!r}")
     _require_count(count, SCAN_ROW_LIMIT, f"grid count of {spec!r}")
     if log:
         return np.logspace(np.log10(start), np.log10(stop), count)
@@ -195,15 +198,19 @@ def _nonnegative_grid(spec):
 # (name, converter, default, help); required options use REQUIRED
 REQUIRED = object()
 
-GLOBAL_OPTIONS = [
-    ("output", str, None, "output file path (required for scan subcommands)"),
+# the entries that several subcommands share; --jobs changes no output,
+# so every subcommand takes it as a performance hint
+_TOLERANCE = ("tolerance", _positive, NULL_RTOL,
+              "null-space residual bound of the numeric steady solves")
+_COMMON = [
     ("format", _one_of("csv", "json"), "csv", "output format: csv or json"),
-    ("jobs", _count_to(JOBS_LIMIT), 1, "worker processes for scan rows"),
-    ("config", str, None, "key = value config file (flags win over it)"),
-    ("tolerance", _positive, NULL_RTOL,
-     "null-space residual bound of the steady solves (steady, fig1)"),
-    ("gnuplot", _boolean, False, "also write a gnuplot script next to the CSV"),
+    ("jobs", _count_to(JOBS_LIMIT), 1, "worker processes for scan rows; changes no output"),
+    ("config", str, None, "key = value file, read as flags placed before the command line's own"),
 ]
+_ROWS = [  # the five subcommands that write rows
+    ("output", str, REQUIRED, "output file path"),
+    ("gnuplot", _boolean, False, "also write a gnuplot script next to the CSV"),
+] + _COMMON
 
 SUBCOMMANDS = {
     "steady": [
@@ -214,7 +221,9 @@ SUBCOMMANDS = {
         ("nbar", _nonnegative, 0.0, "bath occupation"),
         ("method", _one_of("numeric", "analytic"), "numeric",
          "numeric or analytic (analytic needs nbar=0)"),
-    ],
+        _TOLERANCE,
+        ("output", str, None, "output file path, else stdout"),
+    ] + _COMMON,
     "evolve": [
         ("j", _spin, REQUIRED, "spin quantum number (half-integer, <= 128; evolve runs j <= 16)"),
         ("omega", _nonnegative, 0.0, "drive strength"),
@@ -223,21 +232,22 @@ SUBCOMMANDS = {
         ("t-max", _positive, REQUIRED, "final time"),
         ("steps", _count_to(EVOLVE_STEPS_LIMIT), 200, "number of grid intervals (rows = steps + 1)"),
         ("initial", _one_of("excited", "ground"), "excited", "initial state: excited or ground"),
-    ],
+    ] + _ROWS,
     "fig1": [
         ("gamma-grid", _positive_grid, "log:0.01:100:41", "gamma grid spec"),
         ("nbar-grid", _nonnegative_grid, "0:3:4", "nbar grid spec"),
-    ],
+        _TOLERANCE,
+    ] + _ROWS,
     "fig2": [
         ("gamma-grid", _positive_grid, "log:0.001:1000:121", "gamma grid spec"),
-    ],
+    ] + _ROWS,
     "fig3": [
         ("j-list", _pair_spins, "1,4,16,64", "comma-separated spin values (each 1 <= j <= 128)"),
         ("omega-r-grid", _positive_grid, "0.05:3:60", "scaled-drive grid spec"),
-    ],
+    ] + _ROWS,
     "semiclassical": [
         ("omega-r-grid", _nonnegative_grid, "0.05:2:40", "scaled-drive grid spec"),
-    ],
+    ] + _ROWS,
 }
 
 HEADERS = {
@@ -256,12 +266,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser(config_sub=None, config=None):
-    """The front end; config ({dest: raw string}) replaces config_sub's defaults.
-
-    argparse runs string defaults through the converters, so config
-    values get the same checks as flags.
-    """
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The front end, built once per process (~1.7 ms a build)."""
     parser = _Parser(prog="dickesim", allow_abbrev=False,
                      epilog="run 'dickesim SUBCOMMAND --help' for its options")
     subparsers = parser.add_subparsers(
@@ -271,29 +278,21 @@ def _build_parser(config_sub=None, config=None):
         sub_parser = subparsers.add_parser(
             sub, help=command.__doc__, description=command.__doc__, allow_abbrev=False
         )
-        for name, convert, default, text in SUBCOMMANDS[sub] + GLOBAL_OPTIONS:
-            text += " (required)" if default is REQUIRED else f" (default: {default})"
+        for name, convert, default, text in SUBCOMMANDS[sub]:
+            required = default is REQUIRED
+            text += " (required)" if required else f" (default: {default})"
             # --gnuplot alone means yes; --gnuplot=no and gnuplot = no mean no
             flag = {"nargs": "?", "const": True} if convert is _boolean else {}
             sub_parser.add_argument(
-                f"--{name}", type=convert, default=None if default is REQUIRED else default,
-                help=text, **flag,
+                f"--{name}", type=convert, default=None if required else default,
+                required=required, help=text, **flag,
             )
-        if sub == config_sub:
-            sub_parser.set_defaults(**config)
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser():
-    """The parser without a config file, built once per process (~1.7 ms a build)."""
-    return _build_parser()
-
-
-def _read_config(path, sub):
-    """A key = value file, # starting a comment, as {option dest: raw string}."""
-    known = {name for name, *_ in SUBCOMMANDS[sub] + GLOBAL_OPTIONS}
-    values = {}
+def _read_config(path):
+    """A key = value file, # starting a comment, as --key=value flags."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -302,31 +301,28 @@ def _read_config(path, sub):
             if "=" not in stripped:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, value = stripped.split("=", 1)
-            key = key.strip().replace("_", "-")
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r} for subcommand {sub!r}")
-            values[key.replace("-", "_")] = value.strip()
-    return values
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _parse(argv):
-    """(subcommand, options): flags > config file > table defaults."""
+    """(subcommand, options) from one parse: flags > --config file > table defaults.
+
+    The file's flags go right after the subcommand; argparse keeps the last
+    value it reads, of --config too.
+    """
+    path = None
+    for token, following in zip(argv, argv[1:] + [None]):
+        if token == "--config":
+            path = following
+        elif token.startswith("--config="):
+            path = token[len("--config="):]
+    if path is not None:
+        argv = argv[:1] + _read_config(path) + argv[1:]
     options = vars(_parser().parse_args(argv))
-    sub = options.pop("subcommand")
-    if options["config"] is not None:
-        # a fresh parser, so that no later call sees this file's values
-        config = _read_config(options["config"], sub)
-        options = vars(_build_parser(sub, config).parse_args(argv))
-        del options["subcommand"]
-    for name, _convert, default, _help in SUBCOMMANDS[sub]:
-        if default is REQUIRED and options[name.replace("-", "_")] is None:
-            raise UsageError(f"missing required option --{name}")
-    if sub in HEADERS:  # the subcommands that write rows
-        if options["output"] is None:
-            raise UsageError(f"subcommand {sub!r} requires --output")
-        if options["gnuplot"] and options["format"] != "csv":
-            raise UsageError("--gnuplot requires --format csv")
-    return sub, options
+    if options.get("gnuplot") and options["format"] != "csv":
+        raise UsageError("--gnuplot requires --format csv")
+    return options.pop("subcommand"), options
 
 
 # ---------------------------------------------------------------- output
@@ -432,6 +428,8 @@ def _cmd_steady(options):
     if method == "analytic":
         if options["nbar"] != 0.0:
             raise UsageError("analytic method requires nbar = 0")
+        if options["tolerance"] != NULL_RTOL:
+            raise UsageError("analytic method takes no --tolerance")
         if omega <= 0:
             raise UsageError("analytic method needs omega > 0 to form gamma_a/omega")
         rho = steady_state_analytic(spin, gamma_a / omega)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,7 +48,8 @@ def test_parse_grid_log():
 
 @pytest.mark.parametrize(
     "spec", ["1:2", "a:b:c", "log:0:1:5", "log:1:2", "1:2:0", "log:1:2:-3",
-             "nan:1:3", "0:inf:3", "log:0.5:inf:3", "log:nan:1:3"]
+             "nan:1:3", "0:inf:3", "log:0.5:inf:3", "log:nan:1:3",
+             "0.05:3:1", "log:1:10:1"]  # a one-point grid would drop its stop
 )
 def test_parse_grid_rejects_malformed(spec):
     with pytest.raises(UsageError):
@@ -294,7 +296,41 @@ def test_help_paths(capsys):
 def test_every_subcommand_has_help(sub, capsys):
     assert run_cli([sub, "--help"]) == 0
     out = capsys.readouterr().out
-    assert all(f"--{name}" in out for name, *_ in cli.SUBCOMMANDS[sub] + cli.GLOBAL_OPTIONS)
+    names = {f"--{name}" for name, *_ in cli.SUBCOMMANDS[sub]}
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == names | {"--help"}
+
+
+@pytest.mark.parametrize("args", [
+    ["fig2", "--gamma-grid", "1:1:1", "--tolerance", "1e-9"],
+    ["fig3", "--j-list", "1", "--omega-r-grid", "1:1:1", "--tolerance", "1e-9"],
+    ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "1", "--steps", "2", "--tolerance", "1e-9"],
+    ["semiclassical", "--omega-r-grid", "0.05:2:40", "--tolerance", "1e-9"],
+    ["steady", "--j", "1", "--gamma", "1", "--method", "analytic", "--tolerance", "1e-8"],
+    ["steady", "--j", "1", "--gamma", "1", "--gnuplot"],
+], ids=["fig2-tolerance", "fig3-tolerance", "evolve-tolerance", "semiclassical-tolerance",
+        "steady-analytic-tolerance", "steady-gnuplot"])
+def test_options_that_do_not_act_are_refused(args, tmp_path, capsys):
+    out = tmp_path / "never.txt"
+    assert run_cli(args + ["--output", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the argv shapes of the benchmark's CLI requests, on tiny grids
+_BENCHMARK_ARGV = [
+    ["fig1", "--gamma-grid", "log:0.01:100:3", "--nbar-grid", "0:3:2", "--gnuplot"],
+    ["fig2", "--gamma-grid", "log:0.001:1000:3", "--gnuplot"],
+    ["fig3", "--j-list", "1,4", "--omega-r-grid", "0.05:3:3", "--gnuplot"],
+    ["semiclassical", "--omega-r-grid", "0.05:2:40", "--gnuplot"],
+    ["steady", "--j", "8", "--omega", "1.0", "--gamma-a", "0.8", "--nbar", "0.3"],
+]
+
+
+@pytest.mark.parametrize("args", _BENCHMARK_ARGV, ids=[a[0] for a in _BENCHMARK_ARGV])
+def test_benchmark_requests_parse(args, tmp_path):
+    out = tmp_path / "out.txt"
+    assert run_cli(args + ["--output", str(out), "--jobs", "1"]) == 0
+    assert out.exists() and (tmp_path / "out.txt.gp").exists() == ("--gnuplot" in args)
 
 
 # ---------------------------------------------------------------- evolve
@@ -678,6 +714,7 @@ def test_config_does_not_outlive_its_call(tmp_path):
     (["--gnuplot=no"], "", False),
     ([], "gnuplot = no\n", False),
     ([], "gnuplot = yes\n", True),
+    (["--gnuplot=no"], "gnuplot = yes\n", False),  # a flag after the file wins
 ])
 def test_gnuplot_value_forms(tmp_path, flags, config, written):
     cfg = tmp_path / "run.cfg"
@@ -686,6 +723,39 @@ def test_gnuplot_value_forms(tmp_path, flags, config, written):
     args = ["fig2", "--gamma-grid", "log:0.5:2:3", "--output", str(out), "--config", str(cfg)]
     assert run_cli(args + flags) == 0
     assert (tmp_path / "fig2.csv.gp").exists() == written
+
+
+@pytest.mark.parametrize("sub, given, rest", [
+    ("steady", [("j", "1"), ("gamma", "1")], ["--output", "OUT"]),
+    ("evolve", [("t-max", "1")], ["--j", "1", "--gamma-a", "1", "--steps", "2", "--output", "OUT"]),
+    ("fig2", [("output", "OUT")], ["--gamma-grid", "1:1:1"]),
+], ids=["steady-j", "evolve-t-max", "fig2-output"])
+def test_config_supplies_required_options(tmp_path, sub, given, rest):
+    # each required option comes from the file alone, and acts as its flag does
+    outputs = []
+    for name in ("flags.txt", "config.txt"):
+        out = str(tmp_path / name)
+        pairs = [(key, value.replace("OUT", out)) for key, value in given]
+        args = [sub] + [arg.replace("OUT", out) for arg in rest]
+        if name == "flags.txt":
+            args += [text for key, value in pairs for text in (f"--{key}", value)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in pairs), encoding="utf-8")
+            args += ["--config", str(cfg)]
+        assert run_cli(args) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_config_key_that_does_not_act_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 1e-9\n", encoding="utf-8")
+    out = tmp_path / "never.csv"
+    assert run_cli(["fig2", "--gamma-grid", "1:1:1", "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--tolerance=1e-9" in err
+    assert not out.exists()
 
 
 def test_config_rejects_bad_line(tmp_path, capsys):
