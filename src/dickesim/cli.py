@@ -200,8 +200,10 @@ REQUIRED = object()
 
 # the entries that several subcommands share; --jobs changes no output,
 # so every subcommand takes it as a performance hint
-_TOLERANCE = ("tolerance", _positive, NULL_RTOL,
-              "null-space residual bound of the numeric steady solves")
+# --tolerance defaults to None, so that the numeric routes resolve it to
+# NULL_RTOL and the analytic method can tell it given from not given
+_TOLERANCE = ("tolerance", _positive, None,
+              f"null-space residual bound of the numeric steady solves (default: {NULL_RTOL:g})")
 _COMMON = [
     ("format", _one_of("csv", "json"), "csv", "output format: csv or json"),
     ("jobs", _count_to(JOBS_LIMIT), 1, "worker processes for scan rows; changes no output"),
@@ -280,7 +282,10 @@ def _parser():
         )
         for name, convert, default, text in SUBCOMMANDS[sub]:
             required = default is REQUIRED
-            text += " (required)" if required else f" (default: {default})"
+            if required:
+                text += " (required)"
+            elif default is not None:
+                text += f" (default: {default})"
             # --gnuplot alone means yes; --gnuplot=no and gnuplot = no mean no
             flag = {"nargs": "?", "const": True} if convert is _boolean else {}
             sub_parser.add_argument(
@@ -412,6 +417,11 @@ def _fig3_block(task):
 
 # ------------------------------------------------------------- subcommands
 
+def _null_rtol(options):
+    """The numeric steady solves' residual bound: --tolerance, else NULL_RTOL."""
+    return NULL_RTOL if options["tolerance"] is None else options["tolerance"]
+
+
 def _cmd_steady(options):
     """Stationary state for one parameter set."""
     spin, method = options["j"], options["method"]
@@ -428,14 +438,14 @@ def _cmd_steady(options):
     if method == "analytic":
         if options["nbar"] != 0.0:
             raise UsageError("analytic method requires nbar = 0")
-        if options["tolerance"] != NULL_RTOL:
+        if options["tolerance"] is not None:
             raise UsageError("analytic method takes no --tolerance")
         if omega <= 0:
             raise UsageError("analytic method needs omega > 0 to form gamma_a/omega")
         rho = steady_state_analytic(spin, gamma_a / omega)
     else:
         params = ModelParams(j=spin, omega=omega, gamma_a=gamma_a, nbar=options["nbar"])
-        rho = steady_state_numeric(params, null_rtol=options["tolerance"])
+        rho = steady_state_numeric(params, null_rtol=_null_rtol(options))
 
     label = value = None
     if spin.two_j == 2:
@@ -511,7 +521,7 @@ def _cmd_fig1(options):
     gammas, nbars = options["gamma_grid"], options["nbar_grid"]
     _require_count(len(gammas) * len(nbars), SCAN_ROW_LIMIT, "fig1 row count")
     columns = (np.repeat(gammas, len(nbars)), np.tile(nbars, len(gammas)))
-    worker = functools.partial(_fig1_block, null_rtol=options["tolerance"])
+    worker = functools.partial(_fig1_block, null_rtol=_null_rtol(options))
     rows = _map_blocks(worker, [(3, columns)], options["jobs"])
     _write_rows(options, "fig1", rows)
     return 0

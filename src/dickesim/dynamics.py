@@ -24,9 +24,10 @@ blocks instead of one complex d^2 x d^2 one.  Its work and memory are
 bounded up front (EXPM_WORK_LIMIT, STATE_ENTRY_LIMIT), and the states
 are checked in bounded chunks.  Steady states are the kernel of the
 symmetric block, solved for a whole parameter grid at once
-(steady_states_numeric: one dense stack up to j = 7, SuperLU a point at
-a time above, where the block's trace-bordered CSC structure is built
-once per spin, _bordered_block, and each point fills only its data);
+(steady_states_numeric: one dense stack up to j = 7, then a point at a
+time, by a LAPACK band LU up to j = 32 and by SuperLU above, on a
+layout of the trace-bordered block built once per spin,
+_bordered_block, that each point fills with only its data);
 steady_state_numeric solves one point, up to j = 5 on the full d^2
 gauged generator made dense (null_vector takes dense input only).
 Every state passes one check, check_states, against three fixed limits
@@ -34,7 +35,7 @@ Every state passes one check, check_states, against three fixed limits
 null_rtol, the kernel residual bound and the one tolerance a caller
 sets, and hand it to linalg.  scipy is imported only by evolve
 (scipy.linalg, for expm), build_liouvillian and the steady states
-(scipy.sparse).
+(scipy.linalg.lapack or scipy.sparse).
 """
 
 from __future__ import annotations
@@ -350,15 +351,23 @@ def _gauged_block(two_j, offset):
 
 @functools.lru_cache(maxsize=16)
 def _bordered_block(two_j):
-    """The symmetric block's CSC structure bordered by the trace functional.
+    """The layout of the symmetric block bordered by the trace functional.
 
-    linalg._border_pattern of _gauged_block(two_j, 0) and the diagonal
-    coordinates: structure only, read-only, so that a steady solve above
-    the dense limit fills one data array per point.  Zero rates keep
+    Up to linalg._BAND_LU_MAX unknowns (j <= 32) a linalg._band_layout:
+    the border unknown first, then the triangle's coordinates (a, b) by
+    diagonal offset b - a and then by a, which couples each only to
+    coordinates at most d places away, so the band has kl = ku = d.
+    Above, linalg._border_pattern of the block's CSC structure, for
+    SuperLU.  Either is structure only, read-only, built once per spin so
+    that a steady solve above the dense limit fills one data array per
+    point; the border is the diagonal coordinates, and zero rates keep
     their entries, as explicit zeros.
     """
-    triangle, indptr, indices, _, _ = _gauged_block(two_j, 0)
-    return linalg._border_pattern(indptr, indices, np.flatnonzero(triangle[0] == triangle[1]))
+    (a, b), indptr, indices, _, _ = _gauged_block(two_j, 0)
+    diagonal = np.flatnonzero(a == b)
+    if len(indptr) - 1 <= linalg._BAND_LU_MAX:
+        return linalg._band_layout(indptr, indices, diagonal, np.lexsort((a, b - a)))
+    return linalg._border_pattern(indptr, indices, diagonal)
 
 
 def _step_runs(steps, slack):
@@ -534,10 +543,19 @@ def steady_states_numeric(spin, omega, gamma_a, nbar, *, null_rtol=NULL_RTOL) ->
     functional, the indicator of the diagonal coordinates: the block's
     exact left kernel, whose overlap with the kernel is the steady
     state's trace, so the bordered matrix is well conditioned whenever
-    the steady state is unique.  Up to linalg._DENSE_LU_MAX unknowns
-    (j <= 7) the k blocks are assembled dense and solved as one stack;
-    larger blocks are solved one point at a time by SuperLU, each point
-    scattering its values into the bordered structure that
+    the steady state is unique.  Three routes, by the block's size:
+
+    * up to linalg._DENSE_LU_MAX unknowns (j <= 7) the k blocks are
+      assembled dense and solved as one stack, with the exact kappa_1;
+    * up to linalg._BAND_LU_MAX (j <= 32) one point at a time by a
+      LAPACK band LU of width d, with gbcon's kappa_1 estimate; its work
+      is bounded by the band, about 2 d^4 flops;
+    * above, up to j = 128, one point at a time by SuperLU, with a
+      Hager-Higham kappa_1 estimate; its fill, and with it its time, is
+      not bounded up front: near-unitary input (gamma_a ~ 1e-7) fills in
+      for seconds before the kappa_1 check refuses it.
+
+    The last two scatter each point's values into the layout that
     _bordered_block caches per spin (linalg._sparse_null_vector).
     rho = ph * S / tr(S) is Hermitian by construction, and one
     validate_density_matrix call checks the stack; a failing state or

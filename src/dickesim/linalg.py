@@ -1,4 +1,4 @@
-"""Null vectors of dense matrices and of one CSC structure, with their input checks.
+"""Null vectors of dense matrices and of one sparse structure, with their input checks.
 
 The point is not the math (LAPACK and SuperLU do that) but the
 guarantees: input is checked to be a finite square matrix, and an
@@ -9,20 +9,24 @@ by a vector its caller chooses, in the matrix's own dtype.
 null_vector takes dense input of at most _DENSE_LU_MAX unknowns, one
 matrix or a (k, n, n) stack, and one numpy kernel inverts the bordered
 matrices, which gives the null vector and the exact condition number
-kappa_1 together.  Larger matrices go to SuperLU with a Hager-Higham
-estimate of kappa_1, through _sparse_null_vector: there the bordered
-matrix is one CSC structure (_border_pattern) and a data array that
-one scatter fills, so a caller that solves many matrices of one
-structure, as the steady states do on a parameter grid, builds that
-structure once and hands over each matrix's entries.  scipy is
-imported only on that route.  A solve is accepted (_accepted) under a
-fixed bound on its conditioning, NULL_GAP_RTOL, and null_rtol on its
-residual, the one tolerance a caller sets (default NULL_RTOL).
+kappa_1 together.  Larger matrices go through _sparse_null_vector, on
+a layout of the bordered matrix that a caller builds once per structure
+and fills with each matrix's entries by one scatter, as the steady
+states do on a parameter grid.  Up to _BAND_LU_MAX unknowns the layout
+is LAPACK band storage in an order the caller picks (_band_layout): one
+gbtrf factors it, and gbcon estimates kappa_1 from the factors.  Above,
+it is one CSC structure (_border_pattern) for SuperLU, with a
+Hager-Higham estimate of kappa_1 (_inverse_norm1_estimate); a minimum
+degree order beats the band there.  scipy is imported only on these
+two routes.  A solve is accepted (_accepted) under a fixed bound on its
+conditioning, NULL_GAP_RTOL, and null_rtol on its residual, the one
+tolerance a caller sets (default NULL_RTOL).
 """
 
 from __future__ import annotations
 
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +41,24 @@ from .errors import DegenerateKernelError, ValidationError
 # unknowns (j = 5.5), 0.83 against 0.88 ms at 120 (j = 7), and SuperLU
 # wins at 136 (1.1 against 1.7 ms)
 _DENSE_LU_MAX = 121
+# bordered systems with more unknowns, up to this many (j <= 32 on the
+# symmetric block), are LU-factored in LAPACK band storage, SuperLU above.
+# Measured on one core, a block solve (omega_r = 0.85, nbar = 0.3) takes
+# 0.11 against 0.66 ms at j = 8, 0.53 against 1.99 ms at j = 16, 4.3
+# against 6.0 ms at j = 24, 8.0 against 8.5 ms at j = 28, and 8.5 against
+# 6.5 ms at j = 32; SuperLU's minimum-degree order wins from there on (16
+# against 41 ms at j = 48, 33 against 104 ms at j = 64).  j = 29-32 stay
+# banded because the band bounds the work: at gamma_a = 1e-7, j = 32,
+# the band refuses the degenerate kernel in 8 ms, SuperLU fills in for
+# 0.31 s first (BENCH_banded_steady.json)
+_BAND_LU_MAX = 2145
 # SuperLU on the generator's structurally symmetric pattern: a minimum
 # degree ordering of A + A^T, kept by diagonal pivots unless a column holds
-# an entry ten times larger.  Measured on one core against the default
-# (COLAMD, partial pivoting), the factorisation takes 25 % less time at
-# j = 16, 40-50 % less at j = 64, and never more; with partial pivoting the
-# same ordering fills 4-11x more at nbar = 0 and small gamma_a (j = 64, 32)
+# an entry ten times larger.  Measured on one core on the bordered block
+# against the default (COLAMD, partial pivoting), the factorisation takes
+# 32-43 % less time at j = 48 and 38-52 % less at j = 64 (nbar 0-1); with
+# partial pivoting the same ordering fills 1.7-49x more at nbar = 0 and
+# gamma_a = 0.01-0.0174 (j = 48, 64), up to 4.4 s against 20 ms
 _SPLU_OPTIONS = dict(
     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options=dict(SymmetricMode=True)
 )
@@ -180,6 +196,94 @@ def _bordered_solve(pattern, values, border, item):
     return x, norm1 * _inverse_norm1_estimate(solve, n + 1, data.dtype), residual
 
 
+class _BandLayout(NamedTuple):
+    """Where each entry of M = [[A, b], [b^H, 0]] goes in LAPACK band storage.
+
+    M's unknowns are reordered as [mu, order]: the border unknown first,
+    then A's unknowns in the caller's order.  slots is the position in
+    the Fortran-order (2 kl + ku + 1, n + 1) band array of each entry of
+    A, then of b^H at nz, then of b at nz; rows and cols give those
+    entries' places in M (A's CSC entries first), and position the band
+    index of each of A's unknowns.  Built by _band_layout; read-only.
+    """
+
+    slots: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    position: np.ndarray
+    nz: np.ndarray
+    kl: int
+    ku: int
+
+
+def _band_layout(indptr, indices, nz, order):
+    """The _BandLayout of M = [[A, b], [b^H, 0]] from A's canonical CSC structure.
+
+    order lists A's unknowns in the band's order and nz holds b's
+    nonzeros; the band widths kl and ku are read from the reordered
+    structure, so an order that keeps the couplings near the diagonal
+    gives a narrow band.
+    """
+    n = len(indptr) - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    rows = np.concatenate([indices, np.full(len(nz), n), nz])
+    cols = np.concatenate([cols, nz, np.full(len(nz), n)])
+    position = np.empty(n + 1, dtype=np.intp)
+    position[order] = np.arange(1, n + 1)
+    position[n] = 0  # the border unknown goes first
+    band_rows, band_cols = position[rows], position[cols]
+    kl = int((band_rows - band_cols).max(initial=0))
+    ku = int((band_cols - band_rows).max(initial=0))
+    slots = (kl + ku + band_rows - band_cols) + (2 * kl + ku + 1) * band_cols
+    out = _BandLayout(slots, rows, cols, position[:n], nz, kl, ku)
+    for arr in out[:5]:
+        arr.flags.writeable = False
+    return out
+
+
+def _band_matrix(layout, values, border):
+    """M = [[A, b], [b^H, 0]] in the layout's band storage, and M's entries in layout order.
+
+    The band array has kl extra rows on top for gbtrf's fill.
+    """
+    n = len(layout.position)
+    data = np.concatenate((values, border[layout.nz].conj(), border[layout.nz]))
+    band = np.zeros((n + 1) * (2 * layout.kl + layout.ku + 1), dtype=data.dtype)
+    band[layout.slots] = data
+    return band.reshape(n + 1, -1).T, data
+
+
+def _banded_solve(layout, values, border, item):
+    """x, a kappa_1 estimate and ||A x|| of M = [[A, b], [b^H, 0]] by one band LU.
+
+    layout is a _band_layout, values A's entries in CSC order and border
+    b, both of one dtype.  LAPACK gbtrf factors M in _band_matrix's
+    storage, gbtrs solves M [x; mu] = [0; 1] in the layout's order, and
+    gbcon estimates ||M^{-1}||_1 from the factors (Hager-Higham, dlacn2);
+    ||M||_1 is exact, from column sums.  A x is read from A's own
+    entries.  A zero pivot raises DegenerateKernelError naming item(0).
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    band, data = _band_matrix(layout, values, border)
+    gbtrf, gbtrs, gbcon = get_lapack_funcs(("gbtrf", "gbtrs", "gbcon"), (band,))
+    kl, ku, n = layout.kl, layout.ku, len(layout.position)
+    norm1 = np.bincount(layout.cols, np.abs(data), minlength=n + 1).max()
+    lu, pivots, info = gbtrf(band, kl, ku, overwrite_ab=1)
+    if info > 0:  # a zero pivot
+        raise DegenerateKernelError(f"{item(0)}{_SINGULAR}")
+    rhs = np.zeros(n + 1, dtype=band.dtype)
+    rhs[0] = 1.0
+    y, _ = gbtrs(lu, kl, ku, rhs, pivots, overwrite_b=1)
+    rcond, _ = gbcon(kl, ku, lu, pivots, norm1)
+    x = y[layout.position]
+    rows, product = layout.rows[:len(values)], values * x[layout.cols[:len(values)]]
+    ax = np.bincount(rows, product.real, minlength=n)
+    if product.dtype.kind == "c":
+        ax = ax + 1j * np.bincount(rows, product.imag, minlength=n)
+    return x, (1.0 / rcond if rcond > 0.0 else np.inf), np.linalg.norm(ax)
+
+
 def _namer(label, stack):
     """item(i), the prefix that names item i in an error: label(i) when given."""
     if label is not None:
@@ -206,7 +310,8 @@ def _scaled_borders(fnorm, border, dtype, item):
 # the default bound on ||A x|| / (||A||_F ||x||) that a null vector must reach
 NULL_RTOL = 1e-9
 # 1 / kappa_1 of the bordered matrix below this means a degenerate kernel;
-# kappa_1 is exact on the dense route, estimated on SuperLU's
+# kappa_1 is exact on the dense route, and a Hager-Higham lower bound on the
+# band and SuperLU routes (LAPACK gbcon, _inverse_norm1_estimate)
 NULL_GAP_RTOL = 1e-8
 
 
@@ -242,18 +347,21 @@ def _accepted(x, kappa, residual, fnorm, kind, null_rtol, item):
 def _sparse_null_vector(pattern, values, border, null_rtol, label):
     """null_vector above _DENSE_LU_MAX unknowns, of the A whose entries on pattern are values.
 
-    pattern is _border_pattern(indptr, indices, flatnonzero(border)) of
-    A's canonical CSC structure, values are finite and null_rtol has
-    passed _check_null_rtol; a caller that solves many matrices of one
-    structure builds the pattern once.  The bordered matrix is factored
-    once by SuperLU (_bordered_solve); the scaled border, both checks
-    and the errors, named by label, are null_vector's.
+    pattern is the layout of the bordered matrix for A's canonical CSC
+    structure and the border's nonzeros, flatnonzero(border): a
+    _band_layout, factored by one band LU (_banded_solve), or a
+    _border_pattern, factored by SuperLU (_bordered_solve).  values are
+    finite and null_rtol has passed _check_null_rtol; a caller that
+    solves many matrices of one structure builds the layout once.  The
+    scaled border, both checks and the errors, named by label, are
+    null_vector's.
     """
     item = _namer(label, False)
     dtype = np.result_type(values.dtype, border.dtype, float)
     fnorm = np.linalg.norm(values, keepdims=True)
     borders = _scaled_borders(fnorm, border, dtype, item)
-    x, kappa, residual = _bordered_solve(pattern, values.astype(dtype, copy=False), borders[0], item)
+    solve = _banded_solve if isinstance(pattern, _BandLayout) else _bordered_solve
+    x, kappa, residual = solve(pattern, values.astype(dtype, copy=False), borders[0], item)
     return _accepted(x[None], np.array([kappa]), np.array([residual]), fnorm,
                      "condition estimate", null_rtol, item)[0]
 
@@ -282,7 +390,8 @@ def null_vector(A, border, *, label=None, null_rtol=NULL_RTOL):
     label(i) when given, else as "item i" in a stack:
 
     * uniqueness: 1 / kappa_1(M) must reach NULL_GAP_RTOL; kappa_1 is
-      exact here and a Hager-Higham lower bound on SuperLU's route;
+      exact here and a Hager-Higham lower bound on the band and SuperLU
+      routes;
     * existence: ``||A x|| <= null_rtol * ||A||_F * ||x||``, null_rtol
       finite and > 0 (else ValidationError, before any solve).
 

@@ -137,7 +137,7 @@ def test_steady_tolerance_flag_accepted(tmp_path):
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
 
 
-_TOLERANCE_RUNS = [  # full generator (j <= 5), SuperLU on the block, fig1's dense stack
+_TOLERANCE_RUNS = [  # full generator (j <= 5), band LU on the block, fig1's dense stack
     ["steady", "--j", "2", "--omega", "1", "--gamma-a", "0.2", "--nbar", "0.3"],
     ["steady", "--j", "8", "--omega", "1", "--gamma-a", "0.2", "--nbar", "0.3"],
     ["fig1", "--gamma-grid", "log:0.1:10:5", "--nbar-grid", "0:1:2"],
@@ -306,9 +306,11 @@ def test_every_subcommand_has_help(sub, capsys):
     ["evolve", "--j", "1", "--gamma-a", "1", "--t-max", "1", "--steps", "2", "--tolerance", "1e-9"],
     ["semiclassical", "--omega-r-grid", "0.05:2:40", "--tolerance", "1e-9"],
     ["steady", "--j", "1", "--gamma", "1", "--method", "analytic", "--tolerance", "1e-8"],
+    # the default value, given, is given
+    ["steady", "--j", "1", "--gamma", "1", "--method", "analytic", "--tolerance", "1e-9"],
     ["steady", "--j", "1", "--gamma", "1", "--gnuplot"],
 ], ids=["fig2-tolerance", "fig3-tolerance", "evolve-tolerance", "semiclassical-tolerance",
-        "steady-analytic-tolerance", "steady-gnuplot"])
+        "steady-analytic-tolerance", "steady-analytic-default-tolerance", "steady-gnuplot"])
 def test_options_that_do_not_act_are_refused(args, tmp_path, capsys):
     out = tmp_path / "never.txt"
     assert run_cli(args + ["--output", str(out)]) == 2
@@ -755,6 +757,17 @@ def test_config_key_that_does_not_act_is_refused(tmp_path, capsys):
     assert run_cli(["fig2", "--gamma-grid", "1:1:1", "--config", str(cfg), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and "--tolerance=1e-9" in err
+    assert not out.exists()
+
+
+def test_config_tolerance_refused_by_the_analytic_method(tmp_path, capsys):
+    # the default bound from a file is given as much as any other value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 1e-9\n", encoding="utf-8")
+    out = tmp_path / "never.txt"
+    args = ["steady", "--j", "1", "--gamma", "1", "--method", "analytic", "--config", str(cfg)]
+    assert run_cli(args + ["--output", str(out)]) == 2
+    assert "analytic method takes no --tolerance" in capsys.readouterr().err
     assert not out.exists()
 
 

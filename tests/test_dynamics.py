@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import example, given, settings as hsettings, strategies as st
@@ -25,6 +26,7 @@ from dickesim import (
 )
 from dickesim import dynamics, linalg
 from util import (
+    bordered_bmat,
     build_jplus,
     closed_form_j1,
     corrupt_state,
@@ -35,6 +37,7 @@ from util import (
     random_density,
     steady_state_full_generator,
     steady_state_svd,
+    superlu_null_vector,
     trace_distance,
     unvec,
     vec,
@@ -511,85 +514,234 @@ def test_steady_matches_analytic_beyond_evolve_limit(j):
     assert trace_distance(numeric, steady_state_analytic(j, gamma_a)) < 1e-12
 
 
-def test_steady_near_pure_state_one_bordered_solve(monkeypatch):
-    # at j = 16, gamma_a = 0.0794 the state is nearly pure, and its
-    # coherences cancel in the sum of all entries; the trace border does not
-    # see that cancellation, so one well-conditioned solve suffices
-    kappas = []
-    real = linalg._bordered_solve
+def _spy_factorisations(monkeypatch):
+    """A list that records each LU factorisation of a steady solve, as (route, size).
 
-    def recording(pattern, values, border, item):
-        x, kappa, residual = real(pattern, values, border, item)
-        kappas.append(kappa)
-        return x, kappa, residual
-
-    monkeypatch.setattr(linalg, "_bordered_solve", recording)
-    steady_state_numeric(ModelParams(j=16, omega=1.0, gamma_a=0.0794))
-    assert len(kappas) == 1 and kappas[0] * linalg.NULL_GAP_RTOL <= 1.0
-
-
-@pytest.mark.parametrize("j", [1, 5, 5.5, 6.5, 7, 16])  # dense inverse and SuperLU
-def test_steady_factors_once(monkeypatch, j):
+    The routes: a dense inverse ("inv", stack shape), a LAPACK band LU
+    ("gbtrf", band shape) and SuperLU ("splu", nnz).
+    """
     factored = []
-    real_splu = scipy.sparse.linalg.splu
-    real_inv = np.linalg.inv
+    real_splu, real_inv = scipy.sparse.linalg.splu, np.linalg.inv
+    real_funcs = scipy.linalg.lapack.get_lapack_funcs
 
     def splu(a, *args, **kwargs):
-        factored.append(("splu", a.shape[0]))
+        factored.append(("splu", a.nnz))
         return real_splu(a, *args, **kwargs)
 
     def inv(a):
         factored.append(("inv", a.shape))
         return real_inv(a)
 
+    def spied(gbtrf):
+        def factor(band, *args, **kwargs):
+            factored.append(("gbtrf", band.shape))
+            return gbtrf(band, *args, **kwargs)
+        return factor
+
+    def get_lapack_funcs(names, *args, **kwargs):
+        funcs = real_funcs(names, *args, **kwargs)
+        return [spied(f) if name == "gbtrf" else f for name, f in zip(names, funcs)]
+
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
     monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_lapack_funcs)
+    return factored
+
+
+def test_steady_near_pure_state_one_bordered_solve(monkeypatch):
+    # at j = 16, gamma_a = 0.0794 the state is nearly pure, and its
+    # coherences cancel in the sum of all entries; the trace border does not
+    # see that cancellation, so one well-conditioned solve suffices, on the
+    # band route and, at the same omega_r = 0.79 above the band limit, on
+    # SuperLU's
+    for j, gamma_a, route in ((16, 0.0794, "_banded_solve"), (48, 0.0794 / 3, "_bordered_solve")):
+        kappas = []
+        real = getattr(linalg, route)
+
+        def recording(pattern, values, border, item, real=real, kappas=kappas):
+            x, kappa, residual = real(pattern, values, border, item)
+            kappas.append(kappa)
+            return x, kappa, residual
+
+        monkeypatch.setattr(linalg, route, recording)
+        steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=gamma_a))
+        assert len(kappas) == 1 and kappas[0] * linalg.NULL_GAP_RTOL <= 1.0
+
+
+# dense inverse, band LU and SuperLU
+@pytest.mark.parametrize("j", [1, 5, 5.5, 6.5, 7, 7.5, 16, 32, 32.5, 48])
+def test_steady_factors_once(monkeypatch, j):
+    factored = _spy_factorisations(monkeypatch)
     steady_state_numeric(ModelParams(j=j, omega=1.0, gamma_a=0.5, nbar=0.3))
     d = int(2 * j + 1)
     # up to j = 5 all d^2 unknowns, above the d(d+1)/2 of the symmetric block
     n = d * d if j <= 5 else d * (d + 1) // 2
     assert (n <= linalg._DENSE_LU_MAX) == (j <= 7)
-    assert factored == [("inv", (1, n + 1, n + 1)) if j <= 7 else ("splu", n + 1)]
+    assert (n <= linalg._BAND_LU_MAX) == (j <= 32)
+    if j <= 7:
+        assert factored == [("inv", (1, n + 1, n + 1))]
+    elif j <= 32:  # the border and d diagonals on either side, and dgbtrf's d rows of fill
+        assert factored == [("gbtrf", (3 * d + 1, n + 1))]
+    else:
+        assert [route for route, _ in factored] == ["splu"]
 
 
 def test_steady_borders_the_block_once_per_spin(monkeypatch):
-    # the trace-bordered structure is built once per spin, for a grid and
-    # for repeated single points, at nbar = 0 (zero heating values stay
-    # explicit entries) and nbar > 0 alike; each point is one factorisation
-    built, factored = [], []
-    real_pattern = linalg._border_pattern
-    real_splu = scipy.sparse.linalg.splu
-
-    def border_pattern(*args):
-        built.append(len(args[0]) - 1)
-        return real_pattern(*args)
-
-    def splu(a, *args, **kwargs):
-        factored.append(a.nnz)
-        return real_splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_border_pattern", border_pattern)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    # the trace-bordered layout is built once per spin, for a grid and for
+    # repeated single points, at nbar = 0 (zero heating values stay explicit
+    # entries) and nbar > 0 alike, in band storage up to the band limit and
+    # as SuperLU's CSC structure above it; each point is one factorisation
+    built = []
+    factored = _spy_factorisations(monkeypatch)
+    for name in ("_band_layout", "_border_pattern"):
+        def building(*args, real=getattr(linalg, name), name=name):
+            built.append((name, len(args[0]) - 1))
+            return real(*args)
+        monkeypatch.setattr(linalg, name, building)
     dynamics._bordered_block.cache_clear()
     steady_states_numeric(8, 1.0, [0.3, 0.5, 0.9], [0.0, 0.3, 0.0])
     n = 17 * 18 // 2
-    assert built == [n] and len(factored) == 3
+    assert built == [("_band_layout", n)] and len(factored) == 3
     for nbar in (0.0, 0.3, 0.0):
         steady_state_numeric(ModelParams(j=8, omega=1.0, gamma_a=0.5, nbar=nbar))
-    assert built == [n] and len(factored) == 6 and len(set(factored)) == 1
+    assert built == [("_band_layout", n)] and len(factored) == 6 and len(set(factored)) == 1
     steady_states_numeric(16, 1.0, [0.3, 0.5], 0.3)
-    assert built == [n, 33 * 34 // 2] and len(factored) == 8
+    assert built[1:] == [("_band_layout", 33 * 34 // 2)] and len(factored) == 8
+    del factored[:]
+    for nbar in (0.0, 0.3):
+        steady_states_numeric(48, 1.0, [0.03, 0.05], nbar)
+    assert built[2:] == [("_border_pattern", 97 * 98 // 2)]
+    assert len(factored) == 4 and len(set(factored)) == 1
 
 
 def test_bordered_block_cache_does_not_change_states():
-    gammas, nbars = [0.3, 0.5, 0.9], [0.0, 0.3, 1.0]
-    dynamics._bordered_block.cache_clear()
-    cold = steady_states_numeric(8, 1.0, gammas, nbars)
-    assert dynamics._bordered_block.cache_info().currsize == 1
-    warm = steady_states_numeric(8, 1.0, gammas, nbars)
-    assert np.array_equal(cold, warm)
-    indptr, indices, slots, nz = dynamics._bordered_block(16)
-    assert not any(a.flags.writeable for a in (indptr, indices, slots, nz))
+    for j in (8, 48):  # band LU and SuperLU
+        gammas, nbars = [2.4 / j, 4.0 / j, 7.2 / j], [0.0, 0.3, 1.0]
+        dynamics._bordered_block.cache_clear()
+        cold = steady_states_numeric(j, 1.0, gammas, nbars)
+        assert dynamics._bordered_block.cache_info().currsize == 1
+        warm = steady_states_numeric(j, 1.0, gammas, nbars)
+        assert np.array_equal(cold, warm)
+        arrays = [a for a in dynamics._bordered_block(2 * j) if isinstance(a, np.ndarray)]
+        assert len(arrays) == (5 if j <= 32 else 4)
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def _block_at(two_j, omega, gamma_a, nbar):
+    """The symmetric block at these rates as canonical CSC, and its trace border."""
+    triangle, indptr, indices, _, units = dynamics._gauged_block(two_j, 0)
+    n = len(indptr) - 1
+    values = dynamics._generator_values(units, omega, gamma_a, nbar)
+    block = sp.csc_array((values, indices, indptr), shape=(n, n))
+    return block, (triangle[0] == triangle[1]).astype(float)
+
+
+@pytest.mark.parametrize("two_j", [15, 16, 32, 64])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_band_layout_is_the_bordered_block(two_j, nbar):
+    # the band storage, mapped back from the [border, offset-ordered
+    # triangle] order, holds exactly the bmat bordering: every entry,
+    # explicit zeros included, and nothing else
+    layout = dynamics._bordered_block(two_j)
+    d = two_j + 1
+    assert isinstance(layout, linalg._BandLayout) and layout.kl == layout.ku == d
+    block, trace = _block_at(two_j, 1.0, 0.7, nbar)
+    border = linalg._scaled_borders(np.linalg.norm(block.data, keepdims=True), trace, float, str)[0]
+    band, _ = linalg._band_matrix(layout, block.data, border)
+    expected = sp.coo_array(bordered_bmat(block, trace))
+    n = block.shape[0]
+    position = np.append(layout.position, 0)  # the border unknown goes first
+    rows, cols = position[expected.row], position[expected.col]
+    band_rows = 2 * d + rows - cols
+    assert band.shape == (3 * d + 1, n + 1)
+    assert band_rows.min() >= d and band_rows.max() <= 3 * d
+    rebuilt = np.zeros_like(band)
+    rebuilt[band_rows, cols] = expected.data
+    assert np.array_equal(band, rebuilt)
+    assert np.array_equal(np.sort(layout.position), np.arange(1, n + 1))
+
+
+def _superlu_states(j, gamma_a, nbar):
+    """steady_states_numeric's states from SuperLU on the same gauged, trace-bordered blocks."""
+    two_j = int(2 * j)
+    x = []
+    for g, nb in zip(gamma_a, nbar):
+        block, trace = _block_at(two_j, 1.0, g, nb)
+        x.append(superlu_null_vector(block, trace))
+    triangle = dynamics._gauged_block(two_j, 0)[0]
+    return dynamics._symmetric_rho(np.array(x), triangle, dynamics._gauge(two_j))
+
+
+@pytest.mark.parametrize("j", [7.5, 8, 16, 32])
+def test_band_states_match_superlu(j):
+    gamma_a, nbar = (g.ravel() for g in np.meshgrid([0.01, 0.5, 2.0], [0.0, 0.3, 1.0]))
+    banded = steady_states_numeric(j, 1.0, gamma_a, nbar)
+    assert isinstance(dynamics._bordered_block(int(2 * j)), linalg._BandLayout)
+    assert np.abs(banded - _superlu_states(j, gamma_a, nbar)).max() <= 1e-13
+
+
+def test_band_condition_estimate_brackets_the_exact_one():
+    # gbcon's kappa_1 is a lower bound within a factor of 3 of the exact
+    # condition number, here from a dense inverse
+    block, trace = _block_at(16, 1.0, 0.5, 0.3)
+    border = linalg._scaled_borders(np.linalg.norm(block.data, keepdims=True), trace, float, str)[0]
+    _, kappa, _ = linalg._banded_solve(dynamics._bordered_block(16), block.data, border, str)
+    M = bordered_bmat(block, trace).toarray()
+    exact = np.abs(M).sum(axis=0).max() * np.abs(np.linalg.inv(M)).sum(axis=0).max()
+    assert exact / 3.0 <= kappa <= exact * (1.0 + 1e-12)
+
+
+def test_band_zero_pivot_names_its_point(monkeypatch):
+    # a block with a zero column (the coordinate (0, 1) decoupled at the
+    # second point) makes the bordered band matrix exactly singular
+    real = dynamics._generator_values
+    triangle, indptr, _, cols, _ = dynamics._gauged_block(16, 0)
+    column = np.flatnonzero((triangle[0] == 0) & (triangle[1] == 1))[0]
+
+    def decoupled(units, omega, gamma_a, nbar):
+        values = real(units, omega, gamma_a, nbar)
+        if np.ndim(gamma_a) == 0 and gamma_a == 0.6:
+            values = np.where(cols == column, 0.0, values)
+        return values
+
+    monkeypatch.setattr(dynamics, "_generator_values", decoupled)
+    with pytest.raises(DegenerateKernelError, match=r"^steady state at omega=1, gamma_a=0\.6, "
+                       r"nbar=0\.3: null space not one-dimensional: the bordered matrix is singular$"):
+        steady_states_numeric(8, 1.0, [0.5, 0.6], 0.3)
+
+
+def test_band_and_superlu_agree_across_the_band_limit():
+    # the last spin on the band route and the first on SuperLU's, each
+    # solved on both: the two routes give the same states on either side
+    gamma_a, nbar = np.array([0.01, 0.03, 0.5]), np.array([0.0, 0.3, 1.0])
+    for j, route in ((32, linalg._BandLayout), (32.5, tuple)):
+        two_j = int(2 * j)
+        d = two_j + 1
+        assert type(dynamics._bordered_block(two_j)) is route
+        assert (d * (d + 1) // 2 <= linalg._BAND_LU_MAX) == (route is linalg._BandLayout)
+        states = steady_states_numeric(j, 1.0, gamma_a, nbar)
+        (a, b), indptr, indices, _, _ = dynamics._gauged_block(two_j, 0)
+        layout = linalg._band_layout(indptr, indices, np.flatnonzero(a == b), np.lexsort((a, b - a)))
+        x = []
+        for g, nb in zip(gamma_a, nbar):
+            block, trace = _block_at(two_j, 1.0, g, nb)
+            x.append(linalg._sparse_null_vector(layout, block.data, trace, linalg.NULL_RTOL, None))
+        banded = dynamics._symmetric_rho(np.array(x), (a, b), dynamics._gauge(two_j))
+        assert np.abs(states - banded).max() <= 1e-13
+        assert np.abs(states - _superlu_states(j, gamma_a, nbar)).max() <= 1e-13
+
+
+def test_near_unitary_input_fails_fast_on_the_band_route(monkeypatch):
+    # at j = 32, gamma_a = 1e-7 SuperLU's fill grows without bound before
+    # the kappa_1 check raises; the band LU's work is fixed by its width
+    def splu(*args, **kwargs):
+        raise AssertionError("SuperLU called below the band limit")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    with pytest.raises(DegenerateKernelError,
+                       match=r"^steady state at omega=1, gamma_a=1e-07, nbar=0\.3: null space not "
+                       r"one-dimensional: condition estimate .* exceeds 1 / null_gap_rtol"):
+        steady_state_numeric(ModelParams(j=32, omega=1.0, gamma_a=1e-7, nbar=0.3))
 
 
 @pytest.mark.parametrize("two_j", [1, 4, 11, 12, 32])
@@ -753,7 +905,7 @@ def test_steady_states_numeric_names_the_failing_point(monkeypatch):
         steady_states_numeric(1, 1.0, [0.5, 0.25, 0.125], 0.5)
 
 
-@pytest.mark.parametrize("j", [7, 8])  # dense stack and SuperLU
+@pytest.mark.parametrize("j", [7, 8])  # dense stack and band LU
 def test_steady_states_numeric_names_a_degenerate_point(j):
     with pytest.raises(DegenerateKernelError,
                        match=r"^steady state at omega=1, gamma_a=1e-07, nbar=0: null space"):
@@ -766,7 +918,7 @@ def test_single_steady_solve_names_its_point_not_a_stack_item():
     assert not str(info.value).startswith("item 0")
 
 
-@pytest.mark.parametrize("j", [1, 2, 5, 5.5, 8])  # full generator, dense block, SuperLU
+@pytest.mark.parametrize("j", [1, 2, 5, 5.5, 8])  # full generator, dense block, band LU
 def test_single_steady_solve_names_its_degenerate_point_on_every_route(j):
     with pytest.raises(DegenerateKernelError,
                        match=r"^steady state at omega=1, gamma_a=1e-13, nbar=0\.3: null space"):

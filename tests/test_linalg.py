@@ -244,6 +244,35 @@ def test_sparse_bordered_matrix_matches_bmat(monkeypatch, complex_border):
     assert np.linalg.norm(A @ x) < 1e-12 * np.linalg.norm(dense)
 
 
+@pytest.mark.parametrize("complex_border", [False, True])
+def test_band_layout_reads_its_widths_from_the_order(complex_border):
+    # an unsymmetric band (2 below, 5 above the diagonal; its first column,
+    # a mix of the next two, reaches 4 below) scrambled by a permutation:
+    # the layout in the unscrambling order reads kl and ku from the
+    # structure, the border on the first three unknowns included, and the
+    # band LU solves it as SuperLU does, in the border's dtype
+    rng = np.random.default_rng(26)
+    n = 150
+    dense = sum(np.diag(rng.normal(size=n - abs(k)), k) for k in range(-2, 6)) + 8.0 * np.eye(n)
+    dense[:, 0] = dense[:, 1:3] @ rng.normal(size=2)  # one kernel direction
+    perm = rng.permutation(n)
+    A = sp.csc_array(dense[np.ix_(perm, perm)])
+    border = np.zeros(n)
+    border[np.argsort(perm)[:3]] = 1.0
+    if complex_border:
+        border = border * np.exp(1j * np.arange(n))
+    layout = linalg._band_layout(A.indptr, A.indices, np.flatnonzero(border), np.argsort(perm))
+    assert (layout.kl, layout.ku) == (4, 5)
+    x = linalg._sparse_null_vector(layout, A.data, border, linalg.NULL_RTOL, None)
+    assert x.dtype == border.dtype
+    assert _phase_free_gap(x, superlu_null_vector(A, border)) < 1e-12
+    # ||A x|| is read from A's own entries, imaginary parts included
+    values = A.data + 1e-3j * complex_border
+    y, _, residual = linalg._banded_solve(layout, values, border + 0j, str)
+    exact = np.linalg.norm(sp.csc_array((values, A.indices, A.indptr), shape=A.shape) @ y)
+    assert residual == pytest.approx(exact, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [3, 6, 12, 160])  # dense and SuperLU factorisation
 def test_null_vector_second_singular_value_near_zero(n):
     # sigma_{n-1} = 1e-12 ||A||_F: numerically a two-dimensional kernel
